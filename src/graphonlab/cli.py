@@ -52,22 +52,31 @@ def parse_pattern(spec: str) -> Graph:
     raise ValueError(f"bad pattern spec {spec!r}")
 
 
+def _block_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"block count must be at least 1, got {n}")
+    return n
+
+
 def parse_graphon(spec: str) -> sg.StepGraphon:
-    """Graphon specs: const:d, file:path, random:n:seed, regular:n:d:seed,
-    dense:n:d:seed."""
+    """Graphon specs: const:d, const:d:n, file:path, random:n:seed,
+    regular:n:d:seed, dense:n:d:seed."""
     parts = spec.split(":")
     head = parts[0]
     try:
         if head == "const" and len(parts) == 2:
             return sg.constant(float(parts[1]))
+        if head == "const" and len(parts) == 3:
+            return sg.constant(float(parts[1]), _block_count(parts[2]))
         if head == "file" and len(parts) >= 2:
             return sg.load_graphon(":".join(parts[1:]))
         if head == "random" and len(parts) == 3:
-            return sg.gen_random(int(parts[1]), int(parts[2]))
+            return sg.gen_random(_block_count(parts[1]), int(parts[2]))
         if head == "regular" and len(parts) == 4:
-            return sg.gen_regular(int(parts[1]), float(parts[2]), int(parts[3]))
+            return sg.gen_regular(_block_count(parts[1]), float(parts[2]), int(parts[3]))
         if head == "dense" and len(parts) == 4:
-            return sg.gen_pointwise_dense(int(parts[1]), float(parts[2]), int(parts[3]))
+            return sg.gen_pointwise_dense(_block_count(parts[1]), float(parts[2]), int(parts[3]))
     except (OSError, ValueError, GraphonLabError) as exc:
         raise ValueError(f"bad graphon spec {spec!r}: {exc}") from exc
     raise ValueError(f"bad graphon spec {spec!r}")
@@ -210,8 +219,8 @@ def density(pattern, graphon, route, subdivision):
     default="exact",
     show_default=True,
 )
-@click.option("--resolution", type=int, default=400, show_default=True, help="Grid resolution.")
-@click.option("--starts", type=int, default=20, show_default=True, help="Estimate starts.")
+@click.option("--resolution", type=click.IntRange(min=1), default=400, show_default=True, help="Grid resolution.")
+@click.option("--starts", type=click.IntRange(min=0), default=20, show_default=True, help="Estimate starts.")
 @click.option("--seed", type=int, default=0, show_default=True)
 def localdensity(graphon, method, resolution, starts, seed):
     """Print a local density certificate as JSON."""
@@ -326,10 +335,10 @@ def verify(suite, checks, trials, seed, out, fmt):
 @cli.command()
 @click.option("--pattern", required=True, help="Pattern graph spec.")
 @click.option("--d", "d", type=float, required=True, help="Local density floor in (0, 1).")
-@click.option("--n", "n", type=int, default=4, show_default=True, help="Blocks in the search space.")
-@click.option("--starts", type=int, default=8, show_default=True)
+@click.option("--n", "n", type=click.IntRange(min=1), default=4, show_default=True, help="Blocks in the search space.")
+@click.option("--starts", type=click.IntRange(min=1), default=8, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--inner-iterations", type=int, default=500, show_default=True)
+@click.option("--inner-iterations", type=click.IntRange(min=1), default=500, show_default=True)
 @click.option("--probe-k", type=int, default=None, help="Probe the 2k-subdivision bound instead.")
 @click.option("--sweep-d", default=None, help="Comma-separated d values; plot ratio vs d.")
 @click.option("--emit-graphon", type=click.Path(), default=None, help="Write the best graphon JSON here.")

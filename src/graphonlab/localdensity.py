@@ -84,20 +84,45 @@ def _supports_by_cardinality(n: int) -> tuple:
     return tuple(out)
 
 
-def _candidate_arrays(B: np.ndarray) -> list:
-    """Candidate minimizers as (values, witnesses) array pairs, in scan order:
-    vertices first, then interior stationary points of each support, by
-    increasing cardinality with supports lexicographic.
+def _quadratic_values(xs: np.ndarray, subs: np.ndarray, owner: np.ndarray, k: int) -> np.ndarray:
+    """x^T S x for each row x of xs and S of subs; owner is the row's matrix
+    among k.
 
-    Whole cardinality classes are solved as one stacked KKT system; supports
-    whose system is singular or has condition number beyond CONDITION_LIMIT
-    are dropped (their minimizers reappear on sub-supports)."""
-    n = B.shape[0]
-    out = [(np.diag(B).copy(), np.eye(n))]
+    The terms x_i S_ij x_j are added one by one in row-major order, except on
+    a 2 x 2 system that is its matrix's only candidate of the class, which
+    adds its two row sums.  That is the order np.einsum("mi,mij,mj->m", ...)
+    takes over one matrix's candidates, so the values match the one-matrix
+    computation bit for bit; one einsum over a whole stack would sum such lone
+    rows differently."""
+    m, r = xs.shape
+    terms = (xs[:, :, None] * subs) * xs[:, None, :]
+    if r == 2:
+        lone = np.bincount(owner, minlength=k)[owner] == 1
+        row_sums = terms[:, :, 0] + terms[:, :, 1]
+        in_order = (row_sums[:, 0] + terms[:, 1, 0]) + terms[:, 1, 1]
+        return np.where(lone, row_sums[:, 0] + row_sums[:, 1], in_order)
+    return np.cumsum(terms.reshape(m, r * r), axis=1)[:, -1]
+
+
+def _candidate_arrays(Bs: np.ndarray) -> list:
+    """Candidate minimizers for each matrix of the stack Bs (shape (k, n, n)):
+    one (values, witnesses) array pair per matrix, in scan order: vertices
+    first, then interior stationary points of each support, by increasing
+    cardinality with supports lexicographic.
+
+    Each cardinality class of the whole stack is solved as one stacked KKT
+    system; supports whose system is singular or has condition number beyond
+    CONDITION_LIMIT are dropped (their minimizers reappear on sub-supports).
+    Every step acts on each KKT system on its own, so a matrix's candidates
+    are bit for bit the same whatever else is stacked with it."""
+    k, n, _ = Bs.shape
+    owners = [np.repeat(np.arange(k), n)]
+    values = [Bs.diagonal(axis1=1, axis2=2).reshape(-1)]
+    witnesses = [np.tile(np.eye(n), (k, 1))]
     for combos in _supports_by_cardinality(n):
         m, r = combos.shape
-        subs = B[combos[:, :, None], combos[:, None, :]]
-        K = np.zeros((m, r + 1, r + 1))
+        subs = Bs[:, combos[:, :, None], combos[:, None, :]].reshape(k * m, r, r)
+        K = np.zeros((k * m, r + 1, r + 1))
         K[:, :r, :r] = 2.0 * subs
         K[:, :r, r] = -1.0
         K[:, r, :r] = 1.0
@@ -121,13 +146,21 @@ def _candidate_arrays(B: np.ndarray) -> list:
         interior = np.all(sols > 0.0, axis=1)
         if not np.any(interior):
             continue
+        rows = np.nonzero(ok)[0][interior]
+        owner, support = np.divmod(rows, m)
         xs = sols[interior]
-        picked = combos[ok][interior]
-        vals = np.einsum("mi,mij,mj->m", xs, subs[ok][interior], xs)
-        witnesses = np.zeros((len(picked), n))
-        np.put_along_axis(witnesses, picked, xs, axis=1)
-        out.append((vals, witnesses))
-    return out
+        picked = np.zeros((len(rows), n))
+        np.put_along_axis(picked, combos[support], xs, axis=1)
+        owners.append(owner)
+        values.append(_quadratic_values(xs, subs[rows], owner, k))
+        witnesses.append(picked)
+    # group by matrix; the stable sort keeps each matrix's scan order
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")
+    values = np.concatenate(values)[order]
+    witnesses = np.concatenate(witnesses)[order]
+    ends = np.cumsum(np.bincount(owner, minlength=k)).tolist()
+    return [(values[a:b], witnesses[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
 
 def _exact_block_limit(max_blocks: int | None) -> int:
@@ -156,14 +189,9 @@ def local_density_exact(W: StepGraphon, max_blocks: int | None = None) -> LocalD
         x = np.zeros(n)
         x[zero[0]] = 1.0
         return LocalDensityCertificate(0.0, x, "exact_support_enumeration", 0.0)
-    best_value = math.inf
-    best_x = None
-    for vals, witnesses in _candidate_arrays(B):
-        i = int(np.argmin(vals))
-        if vals[i] < best_value:
-            best_value = float(vals[i])
-            best_x = witnesses[i]
-    return LocalDensityCertificate(best_value, best_x, "exact_support_enumeration", 0.0)
+    ((vals, witnesses),) = _candidate_arrays(B[None])
+    i = int(np.argmin(vals))
+    return LocalDensityCertificate(float(vals[i]), witnesses[i], "exact_support_enumeration", 0.0)
 
 
 def local_density_subgradient(W: StepGraphon, tie_tol: float = 1e-10):
@@ -173,44 +201,53 @@ def local_density_subgradient(W: StepGraphon, tie_tol: float = 1e-10):
     For symmetric directions D, the directional derivative of d* at W is
     sum_ij P_ij D_ij with P the returned matrix (exact when the minimizer is
     unique)."""
+    return local_density_subgradients(W.values[None], tie_tol)[0]
+
+
+def local_density_subgradients(Bs, tie_tol: float = 1e-10) -> list:
+    """local_density_subgradient for each value matrix of the stack Bs
+    (shape (k, n, n)): a list of (P, certificate) pairs, bit for bit those of
+    the one-graphon calls.  All matrices go through the support enumeration
+    together.  The matrices are not validated: each must be symmetric with
+    entries in [0, 1], as StepGraphon values are."""
+    Bs = np.asarray(Bs, dtype=float)
+    if Bs.ndim != 3 or Bs.shape[1] != Bs.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {Bs.shape}")
+    k, n, _ = Bs.shape
     max_blocks = _exact_block_limit(None)
-    if W.n > max_blocks:
-        raise BudgetExceededError(f"{W.n} blocks exceed the exact-solver limit of {max_blocks}")
-    n = W.n
-    B = W.values
-    diag = np.diag(B)
-    zero = np.nonzero(diag == 0.0)[0]
-    if zero.size:
-        # every zero-diagonal vertex certifies 0; average over all of them
-        witnesses = []
-        for i in zero:
-            x = np.zeros(n)
-            x[i] = 1.0
-            witnesses.append(x)
-        cert = LocalDensityCertificate(0.0, witnesses[0], "exact_support_enumeration", 0.0)
-    else:
-        found = _candidate_arrays(B)
-        best_value = math.inf
-        best_x = None
-        for vals, xs in found:
+    if n > max_blocks:
+        raise BudgetExceededError(f"{n} blocks exceed the exact-solver limit of {max_blocks}")
+    diags = np.diagonal(Bs, axis1=1, axis2=2)
+    live = np.all(diags != 0.0, axis=1)
+    found = iter(_candidate_arrays(Bs[live]) if np.any(live) else ())
+    out = []
+    for diag, is_live in zip(diags, live):
+        if is_live:
+            vals, xs = next(found)
             i = int(np.argmin(vals))
-            if vals[i] < best_value:
-                best_value = float(vals[i])
-                best_x = xs[i]
-        cert = LocalDensityCertificate(best_value, best_x, "exact_support_enumeration", 0.0)
-        witnesses = []
-        seen = set()
-        for vals, xs in found:
+            best_value = float(vals[i])
+            cert = LocalDensityCertificate(best_value, xs[i], "exact_support_enumeration", 0.0)
+            witnesses = []
+            seen = set()
             for j in np.nonzero(vals <= best_value + tie_tol)[0]:
                 key = tuple(np.round(xs[j], 10))
                 if key not in seen:
                     seen.add(key)
                     witnesses.append(xs[j])
-    P = np.zeros((W.n, W.n))
-    for x in witnesses:
-        P += np.outer(x, x)
-    P /= len(witnesses)
-    return P, cert
+        else:
+            # every zero-diagonal vertex certifies 0; average over all of them
+            witnesses = []
+            for i in np.nonzero(diag == 0.0)[0]:
+                x = np.zeros(n)
+                x[i] = 1.0
+                witnesses.append(x)
+            cert = LocalDensityCertificate(0.0, witnesses[0], "exact_support_enumeration", 0.0)
+        P = np.zeros((n, n))
+        for x in witnesses:
+            P += np.outer(x, x)
+        P /= len(witnesses)
+        out.append((P, cert))
+    return out
 
 
 def _pgd(B: np.ndarray, x0: np.ndarray):
@@ -308,6 +345,8 @@ def local_density_grid_oracle(W: StepGraphon, resolution: int, budget: float | N
 
 
 def grid_certificate(W: StepGraphon, resolution: int, budget: float | None = None) -> LocalDensityCertificate:
+    if resolution < 1:
+        raise ValueError("resolution must be positive")
     budget = resolve_budget(budget, DEFAULT_GRID_BUDGET)
     value, x = _grid_minimum(W, resolution, budget)
     return LocalDensityCertificate(value, x, "grid", math.inf)

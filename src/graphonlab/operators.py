@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stepgraphon import OccupancyVector, StepFunction, StepGraphon
+from .stepgraphon import OccupancyVector, StepFunction, StepGraphon, _unchecked_graphon
 
 # Blocks whose walk mass falls below this are treated as exact zeros.
 ZERO_THRESHOLD = 1e-300
@@ -56,8 +56,9 @@ def path_power(W: StepGraphon, s: int) -> StepGraphon:
     high = float(out.max(initial=0.0))
     if high > 1.0 + POWER_DRIFT_TOL:
         raise ValueError(f"walk power drifted above 1 by {high - 1.0:.3e}")
+    # symmetric, nonnegative and at most 1 by construction
     out = np.minimum((out + out.T) / 2.0, 1.0)
-    return StepGraphon(out, W.measures)
+    return _unchecked_graphon(out, W.measures)
 
 
 def path_function(W: StepGraphon, s: int) -> StepFunction:

@@ -64,6 +64,20 @@ class StepGraphon:
         return len(self.measures)
 
 
+def _unchecked_graphon(values: np.ndarray, measures: np.ndarray) -> StepGraphon:
+    """StepGraphon(values, measures) without the constructor's checks, for
+    values that already are what validation returns (exactly symmetric, with
+    entries in [0, 1]) and measures that pass validation.  values is used as
+    given, not copied, and made read-only; measures are normalized as the
+    constructor does."""
+    W = object.__new__(StepGraphon)
+    W.values = values
+    W.measures = measures / float(measures.sum())
+    W.values.flags.writeable = False
+    W.measures.flags.writeable = False
+    return W
+
+
 @dataclass(eq=False)
 class StepFunction:
     """Block-constant nonnegative function sharing a graphon's block measures."""

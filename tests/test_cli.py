@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -31,13 +32,26 @@ def test_parse_pattern_forms(tmp_path):
 
 def test_parse_graphon_forms(tmp_path):
     assert parse_graphon("const:0.3").values[0, 0] == 0.3
+    W = parse_graphon("const:0.3:4")
+    assert W.n == 4 and np.all(W.values == 0.3)
     assert parse_graphon("random:3:7").n == 3
     assert parse_graphon("regular:3:0.4:1").n == 3
     assert parse_graphon("dense:3:0.2:1").n == 3
     p = tmp_path / "w.json"
     save_graphon(constant(0.25, 2), str(p))
     assert parse_graphon(f"file:{p}").n == 2
-    for bad in ("const", "const:2.0", "random:3", "file:/no/such", "nope:1"):
+    for bad in (
+        "const",
+        "const:2.0",
+        "const:0.3:0",
+        "const:0.3:x",
+        "random:3",
+        "random:0:1",
+        "regular:0:0.4:1",
+        "dense:-1:0.2:1",
+        "file:/no/such",
+        "nope:1",
+    ):
         with pytest.raises(ValueError):
             parse_graphon(bad)
 
@@ -156,6 +170,24 @@ def test_localdensity_methods(runner):
     )
     assert res.exit_code == 0
     assert json.loads(res.output)["method"] == "grid"
+
+
+def test_localdensity_constant_blocks_spec(runner):
+    res = runner.invoke(cli, ["localdensity", "--graphon", "const:0.4:3"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["d_star"] == pytest.approx(0.4, abs=1e-12)
+
+
+def test_localdensity_bad_input_exit_2(runner):
+    for args in (
+        ["--graphon", "random:0:1"],
+        ["--graphon", "const:0.4:0"],
+        ["--graphon", "random:3:1", "--method", "grid", "--resolution", "0"],
+        ["--graphon", "random:3:1", "--method", "estimate", "--starts", "-1"],
+    ):
+        res = runner.invoke(cli, ["localdensity", *args])
+        assert res.exit_code == 2, args
+        assert "NaN" not in res.output
 
 
 def test_localdensity_budget_exit_3(runner):
@@ -397,3 +429,6 @@ def test_search_bad_input_exit_2(runner):
         cli, ["search", "--pattern", "clique:3", "--d", "0.5", "--sweep-d", " , "]
     )
     assert res.exit_code == 2
+    for option in ("--n", "--starts", "--inner-iterations"):
+        res = runner.invoke(cli, ["search", "--pattern", "clique:3", "--d", "0.5", option, "0"])
+        assert res.exit_code == 2, option

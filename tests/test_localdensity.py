@@ -19,8 +19,10 @@ from graphonlab import (
     local_density_exact,
     local_density_grid_oracle,
     local_density_subgradient,
+    local_density_subgradients,
     restrict,
 )
+from graphonlab import localdensity
 from graphonlab.localdensity import project_to_simplex
 
 RNG_SEEDS = st.integers(0, 2**31 - 1)
@@ -135,6 +137,10 @@ def test_grid_certificate_method():
     cert = grid_certificate(constant(0.2, blocks=2), 50)
     assert cert.method == "grid"
     assert cert.d_star == pytest.approx(0.2, abs=1e-12)
+    # resolution 0 would divide the lattice by zero and report NaN
+    for resolution in (0, -3):
+        with pytest.raises(ValueError):
+            grid_certificate(constant(0.2, blocks=2), resolution)
 
 
 def test_exact_budget_guard():
@@ -168,6 +174,83 @@ def test_subgradient_tie_averaging():
     assert cert.d_star == 0.0
     # both zero-diagonal vertices tie; averaged outer products
     np.testing.assert_allclose(P, [[0.5, 0.0], [0.0, 0.5]])
+
+
+def _symmetric(A):
+    return np.triu(A) + np.triu(A, 1).T
+
+
+def _stack_inputs(rng, n):
+    uniform = [_symmetric(rng.uniform(size=(n, n))) for _ in range(5)]
+    rounded = [np.round(B, 1) for B in uniform]  # many tied candidates
+    zero_diagonal = uniform[0].copy()
+    np.fill_diagonal(zero_diagonal, 0.0)
+    one_zero = uniform[2].copy()
+    np.fill_diagonal(one_zero, np.linspace(0.0, 1.0, n))
+    duplicated = uniform[1].copy()  # block 1 repeats block 0
+    duplicated[1, :] = duplicated[0, :]
+    duplicated[:, 1] = duplicated[0, :]
+    duplicated[1, 1] = duplicated[0, 0]
+    constants = [np.full((n, n), d) for d in (0.3, 0.5, 1.0)]
+    return uniform + rounded + constants + [zero_diagonal, one_zero, duplicated]
+
+
+def _assert_same(got, want):
+    P, cert = got
+    P_want, cert_want = want
+    assert np.array_equal(P, P_want)
+    assert cert.d_star == cert_want.d_star
+    assert np.array_equal(cert.witness, cert_want.witness)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stacked_subgradients_match_single_calls_bitwise(n):
+    rng = np.random.default_rng(100 + n)
+    Bs = _stack_inputs(rng, n)
+    mu = np.full(n, 1.0 / n)
+    singles = []
+    for B in Bs:
+        W = StepGraphon(B, mu)
+        singles.append(local_density_subgradient(W))
+        exact = local_density_exact(W)
+        assert exact.d_star == singles[-1][1].d_star
+        assert np.array_equal(exact.witness, singles[-1][1].witness)
+    for got, want in zip(local_density_subgradients(np.array(Bs)), singles):
+        _assert_same(got, want)
+    # what else is stacked, and where, does not matter
+    for got, want in zip(local_density_subgradients(np.array(Bs[::-1])), singles[::-1]):
+        _assert_same(got, want)
+    _assert_same(local_density_subgradients(np.array(Bs[3:4]))[0], singles[3])
+
+
+def test_stacked_subgradients_reject_non_stacks():
+    for shape in ((3, 3), (2, 3, 4)):
+        with pytest.raises(ValueError):
+            local_density_subgradients(np.zeros(shape))
+
+
+def test_stacked_subgradients_per_row_solve_fallback(monkeypatch):
+    # with the condition gate open, the singular KKT systems of a constant
+    # block make the stacked solve raise and every row is solved on its own
+    monkeypatch.setattr(localdensity, "CONDITION_LIMIT", np.inf)
+    rng = np.random.default_rng(7)
+    A, C = (_symmetric(rng.uniform(size=(3, 3))) for _ in range(2))
+    Bs = [A, np.full((3, 3), 0.5), C]
+    mu = np.full(3, 1.0 / 3)
+    singles = [local_density_subgradient(StepGraphon(B, mu)) for B in Bs]
+    solve = np.linalg.solve
+    shapes = []
+
+    def spy(a, b):
+        shapes.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    stacked = local_density_subgradients(np.array(Bs))
+    assert (4, 4) in shapes  # the per-row fallback ran
+    for got, want in zip(stacked, singles):
+        _assert_same(got, want)
+    assert stacked[1][1].d_star == 0.5
 
 
 def test_is_locally_dense():

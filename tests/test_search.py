@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,12 @@ from graphonlab.search import _restore_feasibility
 # deliberately small: the unit tests here exercise plumbing, not convergence
 QUICK = SearchConfig(starts=1, lambda_schedule=(1e1, 1e2), inner_iterations=25)
 
+# Recorded results of short searches, taken before the backtracking ladder was
+# solved in batches.  Random starts only, so the reported point and trajectory
+# depend on every step the line search accepted.
+SEARCH_PATHS = Path(__file__).parent / "search_paths"
+PATH_CONFIG = SearchConfig(starts=2, inner_iterations=8, include_constant_start=False)
+
 
 def test_rejects_target_density_outside_open_interval():
     for d in (0.0, 1.0, -0.2, 1.5):
@@ -32,6 +39,14 @@ def test_rejects_zero_starts():
     cfg = SearchConfig(starts=0)
     with pytest.raises(ValueError):
         minimize_hom_density(clique(2), 0.5, 2, cfg)
+
+
+def test_rejects_armijo_factor_of_one_or_more():
+    # such a factor never shrinks the step, so the backtracking would not end
+    for factor in (1.0, 2.0):
+        cfg = SearchConfig(starts=1, armijo_factor=factor)
+        with pytest.raises(ValueError):
+            minimize_hom_density(clique(2), 0.5, 2, cfg)
 
 
 def test_measure_optimization_is_reserved():
@@ -164,3 +179,18 @@ def test_constant_graphon_objective_matches_closed_form():
     for d in (0.2, 0.5):
         w = constant(d, blocks=4)
         assert hom_density(clique(3), w) == d**3
+
+
+@pytest.mark.parametrize("size", (2, 3))
+@pytest.mark.parametrize("d", (0.2, 0.5))
+@pytest.mark.parametrize("n", (3, 4))
+def test_minimize_search_path_is_pinned(size, d, n):
+    result = minimize_hom_density(clique(size), d, n, PATH_CONFIG, seed=0)
+    expected = (SEARCH_PATHS / f"minimize_K{size}_d{d}_n{n}.json").read_text()
+    assert result_to_json_text(result) == expected
+
+
+def test_probe_search_path_is_pinned():
+    result = probe_even_subdivision(clique(3), 1, 0.5, 3, PATH_CONFIG, seed=0)
+    expected = (SEARCH_PATHS / "probe_K3_k1_d0.5_n3.json").read_text()
+    assert result_to_json_text(result) == expected
