@@ -172,7 +172,7 @@ def cli():
 )
 @click.option(
     "--subdivision",
-    type=int,
+    type=click.IntRange(min=0),
     default=0,
     show_default=True,
     help="Subdivide the pattern with this many internal vertices per edge first.",
@@ -182,8 +182,6 @@ def density(pattern, graphon, route, subdivision):
     try:
         H = parse_pattern(pattern)
         W = parse_graphon(graphon)
-        if subdivision < 0:
-            raise ValueError("subdivision must be nonnegative")
     except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))
     H_eff = graphs_mod.subdivide(H, subdivision)
@@ -248,8 +246,8 @@ def localdensity(graphon, method, resolution, starts, seed):
     default="path-power",
     show_default=True,
 )
-@click.option("--s", "s", type=int, default=None, help="Walk length (path-power, walk-density).")
-@click.option("--k", "k", type=int, default=None, help="Half-length k (normalized-power, u-kernel).")
+@click.option("--s", "s", type=click.IntRange(min=1), default=None, help="Walk length (path-power, walk-density).")
+@click.option("--k", "k", type=click.IntRange(min=1), default=None, help="Half-length k (normalized-power, u-kernel).")
 @click.option("--out", type=click.Path(), default=None, help="Write JSON here instead of stdout.")
 def op(graphon, kind, s, k, out):
     """Apply a walk-kernel operator and print the result as JSON.
@@ -289,7 +287,7 @@ def op(graphon, kind, s, k, out):
 @cli.command()
 @click.option("--suite", default=None, help='Suite name ("paper-default").')
 @click.option("--check", "checks", multiple=True, help="Run one check kind (repeatable).")
-@click.option("--trials", type=int, default=None, help="Trials per check.")
+@click.option("--trials", type=click.IntRange(min=0), default=None, help="Trials per check.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Write the report here instead of stdout.")
 @click.option(
@@ -339,7 +337,7 @@ def verify(suite, checks, trials, seed, out, fmt):
 @click.option("--starts", type=click.IntRange(min=1), default=8, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--inner-iterations", type=click.IntRange(min=1), default=500, show_default=True)
-@click.option("--probe-k", type=int, default=None, help="Probe the 2k-subdivision bound instead.")
+@click.option("--probe-k", type=click.IntRange(min=1), default=None, help="Probe the 2k-subdivision bound instead.")
 @click.option("--sweep-d", default=None, help="Comma-separated d values; plot ratio vs d.")
 @click.option("--emit-graphon", type=click.Path(), default=None, help="Write the best graphon JSON here.")
 @click.option("--plot", type=click.Path(), default=None, help="Write an SVG of the trajectory (or sweep).")
@@ -347,13 +345,16 @@ def search(pattern, d, n, starts, seed, inner_iterations, probe_k, sweep_d, emit
     """Penalty-method search for density lower-bound violations."""
     try:
         H = parse_pattern(pattern)
-        if probe_k is not None and probe_k < 1:
-            raise ValueError("probe k must be at least 1")
         sweep = None
         if sweep_d is not None:
             sweep = [float(x) for x in sweep_d.split(",") if x.strip()]
             if not sweep:
                 raise ValueError("empty sweep list")
+        # every d is checked before the first search runs, so a bad value
+        # late in a sweep leaves no partial output
+        for dv in [d] + (sweep or []):
+            if not 0.0 < dv < 1.0:
+                raise ValueError(f"target density must lie in (0, 1), got {dv:g}")
     except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))
     cfg = search_mod.SearchConfig(starts=starts, inner_iterations=inner_iterations)

@@ -170,28 +170,43 @@ def _exact_block_limit(max_blocks: int | None) -> int:
     return max(1, int(math.floor(math.log2(budget))))
 
 
+def _certified_stack(Bs: np.ndarray, max_blocks: int | None = None) -> list:
+    """Guard and select for the stack Bs (shape (k, n, n)): one
+    (certificate, values, witnesses) triple per matrix, after checking n
+    against the exact-solver block limit.
+
+    A matrix with a zero diagonal entry has d* = 0; its candidates are its
+    zero-diagonal vertices and no support is enumerated.  The others go
+    through _candidate_arrays together.  The certificate is the first
+    candidate of least value, in scan order."""
+    k, n, _ = Bs.shape
+    max_blocks = _exact_block_limit(max_blocks)
+    if n > max_blocks:
+        raise BudgetExceededError(f"{n} blocks exceed the exact-solver limit of {max_blocks}")
+    diags = np.diagonal(Bs, axis1=1, axis2=2)
+    live = np.all(diags != 0.0, axis=1)
+    found = iter(_candidate_arrays(Bs[live]) if np.any(live) else ())
+    out = []
+    for diag, is_live in zip(diags, live):
+        if is_live:
+            vals, xs = next(found)
+        else:
+            xs = np.eye(n)[diag == 0.0]
+            vals = np.zeros(len(xs))
+        i = int(np.argmin(vals))
+        cert = LocalDensityCertificate(float(vals[i]), xs[i], "exact_support_enumeration", 0.0)
+        out.append((cert, vals, xs))
+    return out
+
+
 def local_density_exact(W: StepGraphon, max_blocks: int | None = None) -> LocalDensityCertificate:
     """Global minimum of x^T B x over the simplex by support enumeration.
 
     Deterministic: supports are scanned by cardinality then lexicographically,
     and ties keep the first witness found.
     """
-    max_blocks = _exact_block_limit(max_blocks)
-    n = W.n
-    if n > max_blocks:
-        raise BudgetExceededError(
-            f"{n} blocks exceed the exact-solver limit of {max_blocks}"
-        )
-    B = W.values
-    diag = np.diag(B)
-    zero = np.nonzero(diag == 0.0)[0]
-    if zero.size:
-        x = np.zeros(n)
-        x[zero[0]] = 1.0
-        return LocalDensityCertificate(0.0, x, "exact_support_enumeration", 0.0)
-    ((vals, witnesses),) = _candidate_arrays(B[None])
-    i = int(np.argmin(vals))
-    return LocalDensityCertificate(float(vals[i]), witnesses[i], "exact_support_enumeration", 0.0)
+    ((cert, _, _),) = _certified_stack(W.values[None], max_blocks)
+    return cert
 
 
 def local_density_subgradient(W: StepGraphon, tie_tol: float = 1e-10):
@@ -213,36 +228,18 @@ def local_density_subgradients(Bs, tie_tol: float = 1e-10) -> list:
     Bs = np.asarray(Bs, dtype=float)
     if Bs.ndim != 3 or Bs.shape[1] != Bs.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {Bs.shape}")
-    k, n, _ = Bs.shape
-    max_blocks = _exact_block_limit(None)
-    if n > max_blocks:
-        raise BudgetExceededError(f"{n} blocks exceed the exact-solver limit of {max_blocks}")
-    diags = np.diagonal(Bs, axis1=1, axis2=2)
-    live = np.all(diags != 0.0, axis=1)
-    found = iter(_candidate_arrays(Bs[live]) if np.any(live) else ())
     out = []
-    for diag, is_live in zip(diags, live):
-        if is_live:
-            vals, xs = next(found)
-            i = int(np.argmin(vals))
-            best_value = float(vals[i])
-            cert = LocalDensityCertificate(best_value, xs[i], "exact_support_enumeration", 0.0)
-            witnesses = []
-            seen = set()
-            for j in np.nonzero(vals <= best_value + tie_tol)[0]:
-                key = tuple(np.round(xs[j], 10))
-                if key not in seen:
-                    seen.add(key)
-                    witnesses.append(xs[j])
-        else:
-            # every zero-diagonal vertex certifies 0; average over all of them
-            witnesses = []
-            for i in np.nonzero(diag == 0.0)[0]:
-                x = np.zeros(n)
-                x[i] = 1.0
-                witnesses.append(x)
-            cert = LocalDensityCertificate(0.0, witnesses[0], "exact_support_enumeration", 0.0)
-        P = np.zeros((n, n))
+    for cert, vals, xs in _certified_stack(Bs):
+        # distinct witnesses within tie_tol of the optimum; at a zero diagonal
+        # these are all the zero-diagonal vertices
+        witnesses = []
+        seen = set()
+        for j in np.nonzero(vals <= cert.d_star + tie_tol)[0]:
+            key = tuple(np.round(xs[j], 10))
+            if key not in seen:
+                seen.add(key)
+                witnesses.append(xs[j])
+        P = np.zeros(Bs.shape[1:])
         for x in witnesses:
             P += np.outer(x, x)
         P /= len(witnesses)
@@ -320,7 +317,14 @@ def _simplex_lattice(n: int, resolution: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _grid_minimum(W: StepGraphon, resolution: int, budget: float):
+def grid_certificate(W: StepGraphon, resolution: int, budget: float | None = None) -> LocalDensityCertificate:
+    """Minimum of x^T B x over the simplex lattice with the given resolution,
+    with its lattice point as witness.
+
+    A brute-force upper bound used to sanity-check the exact solver."""
+    if resolution < 1:
+        raise ValueError("resolution must be positive")
+    budget = resolve_budget(budget, DEFAULT_GRID_BUDGET)
     n = W.n
     count = math.comb(resolution + n - 1, n - 1)
     if count > budget:
@@ -330,26 +334,12 @@ def _grid_minimum(W: StepGraphon, resolution: int, budget: float):
     X = _simplex_lattice(n, resolution) / float(resolution)
     vals = np.einsum("ki,ki->k", X @ W.values, X)
     idx = int(np.argmin(vals))
-    return float(vals[idx]), X[idx]
+    return LocalDensityCertificate(float(vals[idx]), X[idx], "grid", math.inf)
 
 
 def local_density_grid_oracle(W: StepGraphon, resolution: int, budget: float | None = None) -> float:
-    """Minimum of x^T B x over the simplex lattice with the given resolution.
-
-    A brute-force upper bound used to sanity-check the exact solver."""
-    if resolution < 1:
-        raise ValueError("resolution must be positive")
-    budget = resolve_budget(budget, DEFAULT_GRID_BUDGET)
-    value, _ = _grid_minimum(W, resolution, budget)
-    return value
-
-
-def grid_certificate(W: StepGraphon, resolution: int, budget: float | None = None) -> LocalDensityCertificate:
-    if resolution < 1:
-        raise ValueError("resolution must be positive")
-    budget = resolve_budget(budget, DEFAULT_GRID_BUDGET)
-    value, x = _grid_minimum(W, resolution, budget)
-    return LocalDensityCertificate(value, x, "grid", math.inf)
+    """The value of grid_certificate."""
+    return grid_certificate(W, resolution, budget).d_star
 
 
 def is_locally_dense(W: StepGraphon, d: float, tol: float = 1e-9) -> bool:

@@ -40,7 +40,7 @@ from .density import grad_hom_density, hom_density, per_entry_gradient
 from .graphs import Graph, subdivide
 from .localdensity import local_density_subgradient, local_density_subgradients
 from .operators import path_power
-from .stepgraphon import StepGraphon, _unchecked_graphon, graphon_to_json
+from .stepgraphon import StepGraphon, _random_symmetric, _unchecked_graphon, graphon_to_json
 
 LAMBDA_SCHEDULE = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 # Backtracking steps solved per batch after eta = 1.  On the benchmark's
@@ -101,12 +101,6 @@ class SearchResult:
         return doc
 
 
-def _symmetric_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
-    values = rng.uniform(0.0, 1.0, size=(n, n))
-    values = np.triu(values)
-    return values + np.triu(values, 1).T
-
-
 def _armijo_ladder(factor: float) -> list:
     """The backtracking steps eta = 1, factor, factor^2, ... (while above
     1e-14) as the arrays they are solved in: eta = 1 alone, since it is often
@@ -158,7 +152,7 @@ def _penalty_search(
     if cfg.include_constant_start:
         starts.append(np.full((n, n), d))
     while len(starts) < cfg.starts:
-        starts.append(_symmetric_uniform(rng, n))
+        starts.append(_random_symmetric(rng, n))
 
     def evaluate(Bmat):
         W = StepGraphon(Bmat, mu)

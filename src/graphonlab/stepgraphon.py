@@ -213,22 +213,26 @@ def hadamard(W: StepGraphon, U: StepGraphon) -> StepGraphon:
 
 
 def _random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Symmetric n x n matrix: the upper triangle of one uniform draw, mirrored.
+    Every random graphon in the package draws its values through here."""
     upper = rng.uniform(0.0, 1.0, size=(n, n))
     out = np.triu(upper)
     return out + np.triu(out, 1).T
 
 
-def _measures(rng: np.random.Generator, n: int, dirichlet: bool) -> np.ndarray:
-    if dirichlet:
-        return rng.dirichlet(np.ones(n))
-    return np.full(n, 1.0 / n)
+def _random_graphon(
+    rng: np.random.Generator, n: int, floor: float = 0.0, dirichlet: bool = False
+) -> StepGraphon:
+    """Values floor + (1 - floor) U with U from _random_symmetric, then
+    measures, uniform or Dirichlet, from the same stream."""
+    values = floor + (1.0 - floor) * _random_symmetric(rng, n)
+    measures = rng.dirichlet(np.ones(n)) if dirichlet else np.full(n, 1.0 / n)
+    return StepGraphon(values, measures)
 
 
 def gen_random(n: int, seed: int, dirichlet_measures: bool = False) -> StepGraphon:
     """Uniform random symmetric values; measures uniform or Dirichlet."""
-    rng = np.random.default_rng(seed)
-    values = _random_symmetric(rng, n)
-    return StepGraphon(values, _measures(rng, n, dirichlet_measures))
+    return _random_graphon(np.random.default_rng(seed), n, dirichlet=dirichlet_measures)
 
 
 def gen_regular(
@@ -269,9 +273,7 @@ def gen_pointwise_dense(n: int, d: float, seed: int, dirichlet_measures: bool = 
     """Random graphon with every value in [d, 1]."""
     if not 0.0 <= d <= 1.0:
         raise ValueError("floor must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    values = d + (1.0 - d) * _random_symmetric(rng, n)
-    return StepGraphon(values, _measures(rng, n, dirichlet_measures))
+    return _random_graphon(np.random.default_rng(seed), n, d, dirichlet_measures)
 
 
 # --- serialization ------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Inequality and identity checks for subdivision density lower bounds.
 
 Each check computes one side of a proven inequality (or both sides of an
-identity), wraps the outcome in a VerificationReport, and never asserts: the
-caller decides what a failure means.  Inequality checks pass when
+identity) and never asserts: the caller decides what a failure means.  All ten
+checks hand their two sides to one report builder, _report, which decides
+pass or fail, digests the inputs and wraps the outcome in a
+VerificationReport.  Inequality checks pass when
 computed >= bound * (1 - tolerance); identity checks pass when the two sides
 agree within max(rel * magnitude, abs).
 
 Checks on patterns outside the known lower-bound registry still run but are
 flagged advisory in their metadata, and advisory failures do not fail a suite.
+The suite draws its random graphons through stepgraphon's one generator.
 """
 
 from __future__ import annotations
@@ -29,10 +32,17 @@ from .errors import (
     PatternNotRegularError,
     UncertifiedDensityError,
 )
-from .graphs import Graph, in_knrs_registry, subdivide
+from .graphs import Graph, graph_to_json, in_knrs_registry, subdivide
 from .localdensity import local_density_exact
 from .operators import path_function, path_power, superlevel_set
-from .stepgraphon import StepGraphon, as_occupancy, as_step_function, edge_density, restrict
+from .stepgraphon import (
+    StepGraphon,
+    as_occupancy,
+    as_step_function,
+    edge_density,
+    graphon_to_json,
+    restrict,
+)
 
 INEQUALITY_TOL = 1e-9  # relative, on the bound
 IDENTITY_REL_TOL = 1e-10
@@ -80,6 +90,10 @@ def _jsonable(obj):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
+    if isinstance(obj, Graph):
+        return _jsonable(graph_to_json(obj))
+    if isinstance(obj, StepGraphon):
+        return graphon_to_json(obj)
     return obj
 
 
@@ -88,49 +102,42 @@ def _digest(payload: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _graph_payload(H: Graph) -> dict:
-    return {"n": H.vertex_count, "edges": [list(e) for e in H.edge_list]}
-
-
-def _graphon_payload(W: StepGraphon) -> dict:
-    return {"values": W.values.tolist(), "measures": W.measures.tolist()}
-
-
-def _ratio(computed: float, bound: float) -> float:
-    if bound > 0.0:
-        return computed / bound
-    return float("inf")
-
-
-def _inequality_report(name, computed, bound, metadata, digest, tol=INEQUALITY_TOL) -> VerificationReport:
-    passed = computed >= bound * (1.0 - tol)
-    return VerificationReport(
-        check_name=name,
-        inputs_digest=digest,
-        computed_value=float(computed),
-        bound_value=float(bound),
-        ratio=_ratio(computed, bound),
-        passed=bool(passed),
-        tolerance=tol,
-        metadata={"kind": "inequality", **metadata},
-    )
-
-
-def _identity_report(
-    name, lhs, rhs, metadata, digest, rel=IDENTITY_REL_TOL, abs_=IDENTITY_ABS_TOL
+def _report(
+    name: str, lhs, rhs, inputs: dict, metadata: dict,
+    kind: str = "inequality", tol: float = INEQUALITY_TOL,
 ) -> VerificationReport:
-    tol_eff = max(rel * max(abs(lhs), abs(rhs)), abs_)
-    passed = abs(lhs - rhs) <= tol_eff
+    """The report of check `name` comparing lhs with rhs.
+
+    An inequality passes when lhs >= rhs (1 - tol) and records tol; an
+    identity passes when |lhs - rhs| <= max(tol * max(|lhs|, |rhs|),
+    IDENTITY_ABS_TOL) and records that bound.  The digest hashes
+    {"check": name, **inputs}, graphs and graphons in their JSON form."""
+    if kind == "identity":
+        tol = max(tol * max(abs(lhs), abs(rhs)), IDENTITY_ABS_TOL)
+        passed = abs(lhs - rhs) <= tol
+    else:
+        passed = lhs >= rhs * (1.0 - tol)
     return VerificationReport(
         check_name=name,
-        inputs_digest=digest,
+        inputs_digest=_digest({"check": name, **inputs}),
         computed_value=float(lhs),
         bound_value=float(rhs),
-        ratio=_ratio(lhs, rhs),
+        ratio=lhs / rhs if rhs > 0.0 else float("inf"),
         passed=bool(passed),
-        tolerance=tol_eff,
-        metadata={"kind": "identity", **metadata},
+        tolerance=tol,
+        metadata={"kind": kind, **metadata},
     )
+
+
+def _registry_meta(H: Graph, assume) -> dict:
+    """Patterns outside the proven lower-bound registry are advisory."""
+    registered = in_knrs_registry(H, assume)
+    return {"advisory": not registered, "registered": registered}
+
+
+def _check_half_length(k: int) -> None:
+    if k < 1:
+        raise ValueError("k must be at least 1")
 
 
 # --- inequality checks -----------------------------------------------------------
@@ -139,11 +146,9 @@ def _identity_report(
 def check_sidorenko(H: Graph, W: StepGraphon, metadata: dict | None = None) -> VerificationReport:
     """t(H, W) >= edge_density^e(H); advisory when H is not bipartite."""
     bipartite, _ = graphs_mod.is_bipartite(H)
-    computed = hom_density(H, W)
-    bound = edge_density(W) ** H.edge_count
     meta = {"advisory": not bipartite, "bipartite": bipartite, **(metadata or {})}
-    digest = _digest({"check": "sidorenko", "H": _graph_payload(H), "W": _graphon_payload(W)})
-    return _inequality_report("sidorenko", computed, bound, meta, digest)
+    bound = edge_density(W) ** H.edge_count
+    return _report("sidorenko", hom_density(H, W), bound, {"H": H, "W": W}, meta)
 
 
 def check_knrs(
@@ -160,14 +165,9 @@ def check_knrs(
         raise UncertifiedDensityError(
             f"claimed local density {d} exceeds certified {cert.d_star}"
         )
-    registered = in_knrs_registry(H, assume)
-    computed = hom_density(H, W)
-    bound = float(d) ** H.edge_count
-    meta = {"advisory": not registered, "registered": registered, "d": float(d), **(metadata or {})}
-    digest = _digest(
-        {"check": "knrs", "H": _graph_payload(H), "W": _graphon_payload(W), "d": float(d)}
-    )
-    return _inequality_report("knrs", computed, bound, meta, digest)
+    d = float(d)
+    meta = {**_registry_meta(H, assume), "d": d, **(metadata or {})}
+    return _report("knrs", hom_density(H, W), d**H.edge_count, {"H": H, "W": W, "d": d}, meta)
 
 
 def check_weakly_knrs(
@@ -179,30 +179,22 @@ def check_weakly_knrs(
 
     Metadata records whether the aspirational constant-free bound also held;
     that flag is never a pass criterion."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    cert = local_density_exact(W)
-    d = cert.d_star
+    _check_half_length(k)
+    d = float(local_density_exact(W).d_star)
     e = H.edge_count
-    registered = in_knrs_registry(H, assume)
     computed = hom_density_subdivided(H, 2 * k, W)
-    strong = float(d) ** ((2 * k + 1) * e)
+    strong = d ** ((2 * k + 1) * e)
     c_H = 0.5 ** (H.vertex_count + 2 * k * e)
-    bound = c_H * strong
     meta = {
-        "advisory": not registered,
-        "registered": registered,
-        "d": float(d),
+        **_registry_meta(H, assume),
+        "d": d,
         "k": k,
         "constant": c_H,
         "strong_bound": strong,
         "strong_held": bool(computed >= strong * (1.0 - INEQUALITY_TOL)),
         **(metadata or {}),
     }
-    digest = _digest(
-        {"check": "weakly_knrs", "H": _graph_payload(H), "W": _graphon_payload(W), "k": k}
-    )
-    return _inequality_report("weakly_knrs", computed, bound, meta, digest)
+    return _report("weakly_knrs", computed, c_H * strong, {"H": H, "W": W, "k": k}, meta)
 
 
 def check_even_subdivision_sidorenko(
@@ -211,61 +203,29 @@ def check_even_subdivision_sidorenko(
     """For d-regular W: t of the (2k-1)-subdivision of H >= d^(2k e(H)).
 
     Requires the host graphon to be degree-regular within 1e-9."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_half_length(k)
     d = sg.is_regular(W, 1e-9)
     if d is None:
         raise NotRegularError("host graphon is not degree-regular within 1e-9")
-    registered = in_knrs_registry(H, assume)
+    d = float(d)
+    meta = {**_registry_meta(H, assume), "d": d, "k": k, **(metadata or {})}
     computed = hom_density_subdivided(H, 2 * k - 1, W)
-    bound = float(d) ** (2 * k * H.edge_count)
-    meta = {
-        "advisory": not registered,
-        "registered": registered,
-        "d": float(d),
-        "k": k,
-        **(metadata or {}),
-    }
-    digest = _digest(
-        {
-            "check": "even_subdivision_sidorenko",
-            "H": _graph_payload(H),
-            "W": _graphon_payload(W),
-            "k": k,
-        }
-    )
-    return _inequality_report("even_subdivision_sidorenko", computed, bound, meta, digest)
+    bound = d ** (2 * k * H.edge_count)
+    return _report("even_subdivision_sidorenko", computed, bound, {"H": H, "W": W, "k": k}, meta)
 
 
 def check_regular_subdivision_knrs(
     H: Graph, k: int, W: StepGraphon, assume=(), metadata: dict | None = None
 ) -> VerificationReport:
     """For regular patterns H: t of the 2k-subdivision >= d*^((2k+1) e(H))."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_half_length(k)
     if graphs_mod.is_regular(H) is None:
         raise PatternNotRegularError("pattern graph is not degree-regular")
-    cert = local_density_exact(W)
-    d = cert.d_star
-    registered = in_knrs_registry(H, assume)
+    d = float(local_density_exact(W).d_star)
+    meta = {**_registry_meta(H, assume), "d": d, "k": k, **(metadata or {})}
     computed = hom_density_subdivided(H, 2 * k, W)
-    bound = float(d) ** ((2 * k + 1) * H.edge_count)
-    meta = {
-        "advisory": not registered,
-        "registered": registered,
-        "d": float(d),
-        "k": k,
-        **(metadata or {}),
-    }
-    digest = _digest(
-        {
-            "check": "regular_subdivision_knrs",
-            "H": _graph_payload(H),
-            "W": _graphon_payload(W),
-            "k": k,
-        }
-    )
-    return _inequality_report("regular_subdivision_knrs", computed, bound, meta, digest)
+    bound = d ** ((2 * k + 1) * H.edge_count)
+    return _report("regular_subdivision_knrs", computed, bound, {"H": H, "W": W, "k": k}, meta)
 
 
 def check_superlevel_restriction(W: StepGraphon, k: int, metadata: dict | None = None) -> VerificationReport:
@@ -274,19 +234,15 @@ def check_superlevel_restriction(W: StepGraphon, k: int, metadata: dict | None =
     has local density at least d^(2k+1) / 2^(2k), with d the exact d*(W).
 
     Vacuous (an error) when d*(W) = 0."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    cert = local_density_exact(W)
-    d = cert.d_star
+    _check_half_length(k)
+    d = local_density_exact(W).d_star
     if d <= 0.0:
         raise DegenerateInstanceError("local density is zero; restriction bound is vacuous")
-    walk = path_function(W, k)
     theta = (d / 2.0) ** k
-    occupancy = superlevel_set(walk, theta)
+    occupancy = superlevel_set(path_function(W, k), theta)
     a_measure = occupancy.measure(W.measures)
     a_ok = a_measure >= 0.5 - 1e-9
-    restricted = restrict(path_power(W, 2 * k + 1), occupancy)
-    d_res = local_density_exact(restricted).d_star
+    d_res = local_density_exact(restrict(path_power(W, 2 * k + 1), occupancy)).d_star
     bound = float(d) ** (2 * k + 1) / 4.0**k
     meta = {
         "d": float(d),
@@ -296,10 +252,7 @@ def check_superlevel_restriction(W: StepGraphon, k: int, metadata: dict | None =
         "a_measure_ok": bool(a_ok),
         **(metadata or {}),
     }
-    digest = _digest(
-        {"check": "superlevel_restriction", "W": _graphon_payload(W), "k": k}
-    )
-    report = _inequality_report("superlevel_restriction", d_res, bound, meta, digest)
+    report = _report("superlevel_restriction", d_res, bound, {"W": W, "k": k}, meta)
     report.passed = bool(report.passed and a_ok)
     return report
 
@@ -307,15 +260,12 @@ def check_superlevel_restriction(W: StepGraphon, k: int, metadata: dict | None =
 def check_reiher(W: StepGraphon, f, metadata: dict | None = None) -> VerificationReport:
     """Quadratic-form lower bound: <f, W f> >= d* (int f)^2 for f >= 0."""
     func = as_step_function(f, W)
-    cert = local_density_exact(W)
+    d = local_density_exact(W).d_star
     m = func.values * W.measures
     computed = float(m @ W.values @ m)
-    bound = cert.d_star * float(m.sum()) ** 2
-    meta = {"d": float(cert.d_star), **(metadata or {})}
-    digest = _digest(
-        {"check": "reiher", "W": _graphon_payload(W), "f": func.values.tolist()}
-    )
-    return _inequality_report("reiher", computed, bound, meta, digest)
+    bound = d * float(m.sum()) ** 2
+    meta = {"d": float(d), **(metadata or {})}
+    return _report("reiher", computed, bound, {"W": W, "f": func.values}, meta)
 
 
 def check_extended_reiher(
@@ -324,25 +274,11 @@ def check_extended_reiher(
     """Vertex-weighted density bound: the omega-weighted density of H is at
     least (int omega)^v(H) d*^e(H) for registry patterns."""
     func = as_step_function(omega, W)
-    cert = local_density_exact(W)
-    registered = in_knrs_registry(H, assume)
+    d = local_density_exact(W).d_star
     computed = hom_density_weighted(H, W, func)
-    bound = func.integral() ** H.vertex_count * cert.d_star**H.edge_count
-    meta = {
-        "advisory": not registered,
-        "registered": registered,
-        "d": float(cert.d_star),
-        **(metadata or {}),
-    }
-    digest = _digest(
-        {
-            "check": "extended_reiher",
-            "H": _graph_payload(H),
-            "W": _graphon_payload(W),
-            "omega": func.values.tolist(),
-        }
-    )
-    return _inequality_report("extended_reiher", computed, bound, meta, digest)
+    bound = func.integral() ** H.vertex_count * d**H.edge_count
+    meta = {**_registry_meta(H, assume), "d": float(d), **(metadata or {})}
+    return _report("extended_reiher", computed, bound, {"H": H, "W": W, "omega": func.values}, meta)
 
 
 # --- identity checks ---------------------------------------------------------------
@@ -365,30 +301,17 @@ def check_restriction_pullback(W: StepGraphon, a, b_prime, metadata: dict | None
     pw = pullback * W.measures
     rhs = float(pw @ W.values @ pw) / mass**2
     meta = {"a_measure": float(mass), **(metadata or {})}
-    digest = _digest(
-        {
-            "check": "restriction_pullback",
-            "W": _graphon_payload(W),
-            "a": occ.values.tolist(),
-            "b_prime": sub.values.tolist(),
-        }
-    )
-    return _identity_report(
-        "restriction_pullback", lhs, rhs, meta, digest, rel=0.0, abs_=IDENTITY_ABS_TOL
-    )
+    inputs = {"W": W, "a": occ.values, "b_prime": sub.values}
+    return _report("restriction_pullback", lhs, rhs, inputs, meta, kind="identity", tol=0.0)
 
 
 def check_transform(H: Graph, s: int, W: StepGraphon, metadata: dict | None = None) -> VerificationReport:
     """t of the s-subdivision of H equals t(H, W_{s+1}) exactly."""
-    if s < 0:
-        raise ValueError("subdivision count must be nonnegative")
+    rhs = hom_density_subdivided(H, s, W)  # rejects s < 0
     lhs = hom_density(subdivide(H, s), W)
-    rhs = hom_density(H, path_power(W, s + 1)) if s > 0 else hom_density(H, W)
     meta = {"s": s, **(metadata or {})}
-    digest = _digest(
-        {"check": "transform", "H": _graph_payload(H), "W": _graphon_payload(W), "s": s}
-    )
-    return _identity_report("transform", lhs, rhs, meta, digest)
+    inputs = {"H": H, "W": W, "s": s}
+    return _report("transform", lhs, rhs, inputs, meta, kind="identity", tol=IDENTITY_REL_TOL)
 
 
 # --- suites ------------------------------------------------------------------------
@@ -448,25 +371,6 @@ def _trial_rng(seed: int, check_index: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, check_index, trial])
 
 
-def _random_graphon(rng: np.random.Generator, n_min: int, n_max: int) -> StepGraphon:
-    n = int(rng.integers(n_min, n_max + 1))
-    values = rng.uniform(0.0, 1.0, size=(n, n))
-    values = np.triu(values)
-    values = values + np.triu(values, 1).T
-    measures = rng.dirichlet(np.ones(n))
-    return StepGraphon(values, measures)
-
-
-def _positive_graphon(rng: np.random.Generator, n_min: int, n_max: int) -> StepGraphon:
-    # bounded away from zero so the local density is positive
-    n = int(rng.integers(n_min, n_max + 1))
-    values = 0.05 + 0.95 * rng.uniform(0.0, 1.0, size=(n, n))
-    values = np.triu(values)
-    values = values + np.triu(values, 1).T
-    measures = rng.dirichlet(np.ones(n))
-    return StepGraphon(values, measures)
-
-
 _TRANSFORM_PATTERNS = (("clique", 3), ("clique", 4), ("cycle", 5))
 _SIDORENKO_PATTERNS = (("path", 2), ("path", 3), ("cycle", 4), ("cycle", 6))
 _REGISTRY_PATTERNS = (
@@ -478,78 +382,64 @@ _REGISTRY_PATTERNS = (
 _REGULAR_PATTERNS = (("clique", 3), ("cycle", 5), ("clique", 4))
 
 
-def _pattern(spec) -> Graph:
+def _pattern(spec) -> tuple:
+    """(graph, label) of a catalog spec: ("cycle", 5) gives cycle_graph(5) and
+    "cycle:5"."""
     name, *args = spec
-    return graphs_mod.catalog(name, *args)
-
-
-def _pattern_label(spec) -> str:
-    name, *args = spec
-    if args:
-        return f"{name}:{','.join(str(a) for a in args)}"
-    return name
+    label = f"{name}:{','.join(str(a) for a in args)}" if args else name
+    return graphs_mod.catalog(name, *args), label
 
 
 def _run_check(name: str, seed: int, check_index: int, trial: int, cfg: dict) -> VerificationReport:
     rng = _trial_rng(seed, check_index, trial)
-    n_min, n_max = cfg["n_min"], cfg["n_max"]
-    base_meta = {"seed": seed, "trial": trial}
+    meta = {"seed": seed, "trial": trial}
+    k = 1 + trial % 2
+
+    def graphon(floor=0.0):
+        # random block count, then values and Dirichlet measures
+        n = int(rng.integers(cfg["n_min"], cfg["n_max"] + 1))
+        return sg._random_graphon(rng, n, floor, dirichlet=True)
+
+    def pattern(specs):
+        # the trial's pattern; its label goes into the metadata
+        H, meta["pattern"] = _pattern(specs[trial % len(specs)])
+        return H
+
     if name == "transform":
-        spec = _TRANSFORM_PATTERNS[trial % len(_TRANSFORM_PATTERNS)]
-        s = 1 + trial % 4
-        W = _random_graphon(rng, n_min, n_max)
-        return check_transform(_pattern(spec), s, W, metadata={**base_meta, "pattern": _pattern_label(spec)})
+        H, s = pattern(_TRANSFORM_PATTERNS), 1 + trial % 4
+        return check_transform(H, s, graphon(), metadata=meta)
     if name == "sidorenko":
-        spec = _SIDORENKO_PATTERNS[trial % len(_SIDORENKO_PATTERNS)]
-        W = _random_graphon(rng, n_min, n_max)
-        return check_sidorenko(_pattern(spec), W, metadata={**base_meta, "pattern": _pattern_label(spec)})
+        return check_sidorenko(pattern(_SIDORENKO_PATTERNS), graphon(), metadata=meta)
     if name == "knrs":
-        spec = _REGISTRY_PATTERNS[trial % len(_REGISTRY_PATTERNS)]
-        W = _random_graphon(rng, n_min, n_max)
-        return check_knrs(_pattern(spec), W, metadata={**base_meta, "pattern": _pattern_label(spec)})
+        return check_knrs(pattern(_REGISTRY_PATTERNS), graphon(), metadata=meta)
     if name == "weakly_knrs":
-        k = 1 + trial % 2
-        W = _random_graphon(rng, n_min, n_max)
-        return check_weakly_knrs(
-            graphs_mod.clique(3), k, W, metadata={**base_meta, "pattern": "clique:3"}
-        )
+        return check_weakly_knrs(pattern((("clique", 3),)), k, graphon(), metadata=meta)
     if name == "even_subdivision_sidorenko":
-        spec = (("clique", 3), ("clique", 4))[trial % 2]
-        k = 1 + trial % 2
         d = (0.2, 0.5, 0.8)[trial % 3]
-        n = n_min + trial % (n_max - n_min + 1)
+        n = cfg["n_min"] + trial % (cfg["n_max"] - cfg["n_min"] + 1)
         W = sg.gen_regular(n, d, seed=int(rng.integers(2**32)))
-        return check_even_subdivision_sidorenko(
-            _pattern(spec), k, W, metadata={**base_meta, "pattern": _pattern_label(spec)}
-        )
+        H = pattern((("clique", 3), ("clique", 4)))
+        return check_even_subdivision_sidorenko(H, k, W, metadata=meta)
     if name == "regular_subdivision_knrs":
-        spec = _REGULAR_PATTERNS[trial % len(_REGULAR_PATTERNS)]
-        W = _random_graphon(rng, n_min, n_max)
-        return check_regular_subdivision_knrs(
-            _pattern(spec), 1 + trial % 2, W, metadata={**base_meta, "pattern": _pattern_label(spec)}
-        )
+        H = pattern(_REGULAR_PATTERNS)
+        return check_regular_subdivision_knrs(H, k, graphon(), metadata=meta)
     if name == "superlevel_restriction":
-        W = _positive_graphon(rng, n_min, n_max)
-        return check_superlevel_restriction(W, 1 + trial % 2, metadata=base_meta)
+        # bounded away from zero so the local density is positive
+        return check_superlevel_restriction(graphon(floor=0.05), k, metadata=meta)
     if name == "reiher":
-        W = _random_graphon(rng, n_min, n_max)
-        f = rng.uniform(0.0, 2.0, size=W.n)
-        return check_reiher(W, f, metadata=base_meta)
+        W = graphon()
+        return check_reiher(W, rng.uniform(0.0, 2.0, size=W.n), metadata=meta)
     if name == "extended_reiher":
-        spec = _REGISTRY_PATTERNS[trial % len(_REGISTRY_PATTERNS)]
-        W = _random_graphon(rng, n_min, n_max)
-        omega = rng.uniform(0.0, 2.0, size=W.n)
-        return check_extended_reiher(
-            _pattern(spec), W, omega, metadata={**base_meta, "pattern": _pattern_label(spec)}
-        )
+        H, W = pattern(_REGISTRY_PATTERNS), graphon()
+        return check_extended_reiher(H, W, rng.uniform(0.0, 2.0, size=W.n), metadata=meta)
     if name == "restriction_pullback":
-        W = _random_graphon(rng, n_min, n_max)
+        W = graphon()
         a = rng.uniform(0.0, 1.0, size=W.n)
         if not np.any(a > 0.0):
             a[0] = 1.0
         kept = int(np.count_nonzero(a > 0.0))
         b_prime = rng.uniform(0.0, 1.0, size=kept)
-        return check_restriction_pullback(W, a, b_prime, metadata=base_meta)
+        return check_restriction_pullback(W, a, b_prime, metadata=meta)
     raise ConfigError(f"unknown check {name!r}")
 
 

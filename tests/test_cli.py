@@ -120,6 +120,14 @@ def test_density_bad_specs_exit_2(runner):
         ["density", "--pattern", "clique:3", "--graphon", "const:0.5", "--subdivision", "-1"],
     )
     assert res.exit_code == 2
+    res = runner.invoke(
+        cli,
+        [
+            "density", "--pattern", "clique:3", "--graphon", "const:0.5",
+            "--route", "both", "--subdivision", "-2",
+        ],
+    )
+    assert res.exit_code == 2
 
 
 def test_density_budget_env_exit_3(runner):
@@ -232,6 +240,10 @@ def test_op_missing_parameter_exit_2(runner):
     assert res.exit_code == 2
     res = runner.invoke(cli, ["op", "--graphon", "const:0.5", "--kind", "u-kernel"])
     assert res.exit_code == 2
+    for kind, option in (("path-power", "--s"), ("walk-density", "--s"), ("u-kernel", "--k")):
+        for value in ("0", "-1"):
+            res = runner.invoke(cli, ["op", "--graphon", "const:0.5", "--kind", kind, option, value])
+            assert res.exit_code == 2, (kind, option, value)
 
 
 # --- verify -----------------------------------------------------------------------
@@ -275,6 +287,8 @@ def test_verify_config_error_exit_2(runner):
     res = runner.invoke(cli, ["verify", "--suite", "paper-default", "--check", "transform"])
     assert res.exit_code == 2
     res = runner.invoke(cli, ["verify", "--trials", "-1"])
+    assert res.exit_code == 2
+    res = runner.invoke(cli, ["verify", "--check", "transform", "--trials", "-3"])
     assert res.exit_code == 2
 
 
@@ -432,3 +446,16 @@ def test_search_bad_input_exit_2(runner):
     for option in ("--n", "--starts", "--inner-iterations"):
         res = runner.invoke(cli, ["search", "--pattern", "clique:3", "--d", "0.5", option, "0"])
         assert res.exit_code == 2, option
+    res = runner.invoke(
+        cli, ["search", "--pattern", "clique:3", "--d", "0.5", "--probe-k", "-1"]
+    )
+    assert res.exit_code == 2
+    # every d is checked before any search runs: nothing reaches stdout
+    quick = ["--probe-k", "1", "--n", "2", "--starts", "1", "--inner-iterations", "1"]
+    for d, sweep in (("0.5", "0.5,1.5"), ("0.5", "0.5,0"), ("1.0", "0.5"), ("0.0", None)):
+        args = ["search", "--pattern", "clique:2", "--d", d, *quick]
+        if sweep is not None:
+            args += ["--sweep-d", sweep]
+        res = runner.invoke(cli, args)
+        assert res.exit_code == 2, args
+        assert res.stdout == "", args

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +152,27 @@ def test_gen_random_deterministic():
     a = gen_random(4, seed=99)
     b = gen_random(4, seed=99)
     np.testing.assert_array_equal(a.values, b.values)
+
+
+GENERATORS = {
+    "gen_random": gen_random,
+    "gen_pointwise_dense": gen_pointwise_dense,
+    "gen_regular": gen_regular,
+}
+# recorded before the generators were merged onto one random-symmetric draw
+GENERATOR_CASES = json.loads((Path(__file__).parent / "golden" / "generators.json").read_text())
+
+
+def _case_id(case) -> str:
+    kwargs = case["kwargs"]
+    return f"{case['generator']}-{kwargs['seed']}-{kwargs.get('dirichlet_measures', False)}"
+
+
+@pytest.mark.parametrize("case", GENERATOR_CASES, ids=_case_id)
+def test_generator_outputs_are_pinned(case):
+    w = GENERATORS[case["generator"]](**case["kwargs"])
+    np.testing.assert_array_equal(w.values, np.array(case["values"]))
+    np.testing.assert_array_equal(w.measures, np.array(case["measures"]))
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,9 @@ from graphonlab.errors import (
     PatternNotRegularError,
     UncertifiedDensityError,
 )
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def bipartite_graphon():
@@ -197,6 +202,18 @@ def test_run_suite_deterministic_bytes():
     doc = json.loads(first)
     assert doc["schema"] == "v1"
     assert doc["summary"]["failed"] == 0
+
+
+def test_default_suite_json_is_pinned():
+    # recorded from `graphonlab verify --suite paper-default --seed 7`; any
+    # change to a check, a generator or the report format shows here
+    config = {"suite": "paper-default", "seed": 7}
+    text = reports_to_json(run_suite(config), config)
+    expected = (GOLDEN / "verify_paper_default_seed7.json").read_text()
+    assert text == expected
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e547eab815110d71865b85f3fcbf7d2034126a50d15bd24d219c86755653f982"
+    )
 
 
 def test_default_suite_passes():
