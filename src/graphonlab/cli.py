@@ -338,7 +338,11 @@ def verify(suite, checks, trials, seed, out, fmt):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--inner-iterations", type=click.IntRange(min=1), default=500, show_default=True)
 @click.option("--probe-k", type=click.IntRange(min=1), default=None, help="Probe the 2k-subdivision bound instead.")
-@click.option("--sweep-d", default=None, help="Comma-separated d values; plot ratio vs d.")
+@click.option(
+    "--sweep-d",
+    default=None,
+    help="Comma-separated d values; one line per d, exit 4 if any is infeasible. Not with --emit-graphon.",
+)
 @click.option("--emit-graphon", type=click.Path(), default=None, help="Write the best graphon JSON here.")
 @click.option("--plot", type=click.Path(), default=None, help="Write an SVG of the trajectory (or sweep).")
 def search(pattern, d, n, starts, seed, inner_iterations, probe_k, sweep_d, emit_graphon, plot):
@@ -350,6 +354,8 @@ def search(pattern, d, n, starts, seed, inner_iterations, probe_k, sweep_d, emit
             sweep = [float(x) for x in sweep_d.split(",") if x.strip()]
             if not sweep:
                 raise ValueError("empty sweep list")
+            if emit_graphon:
+                raise ValueError("--emit-graphon takes one search; it cannot be used with --sweep-d")
         # every d is checked before the first search runs, so a bad value
         # late in a sweep leaves no partial output
         for dv in [d] + (sweep or []):
@@ -385,6 +391,9 @@ def search(pattern, d, n, starts, seed, inner_iterations, probe_k, sweep_d, emit
                 )
                 with open(plot, "w", encoding="utf-8") as fh:
                     fh.write(chart)
+            if not all(r.feasible for _, r in points):
+                click.echo("no feasible point reached the tolerance at some d", err=True)
+                sys.exit(EXIT_INFEASIBLE)
             return
         result = run(d)
     except (ValueError, NotImplementedError) as exc:

@@ -432,6 +432,64 @@ def test_search_infeasible_exit_4(runner, monkeypatch):
     assert "no feasible point" in res.stderr
 
 
+def test_search_sweep_infeasible_exit_4(runner, monkeypatch):
+    def stub(H, d, n, config=None, seed=0):
+        return SearchResult(
+            best_graphon=constant(0.5, 2),
+            best_value=0.1,
+            constraint_residual=0.0 if d < 0.5 else 0.05,
+            bound=0.125,
+            best_ratio=0.8,
+            trajectory=[(0, 0.1, 0.0)],
+            seed=seed,
+            config={},
+            feasible=d < 0.5,
+        )
+
+    monkeypatch.setattr("graphonlab.search.minimize_hom_density", stub)
+    args = ["search", "--pattern", "clique:3", "--d", "0.5", "--sweep-d"]
+    res = runner.invoke(cli, args + ["0.3,0.6,0.4"])
+    # every point is printed before the exit code reports the infeasible one
+    assert res.exit_code == 4
+    assert [line.split()[-1] for line in res.stdout.splitlines()] == [
+        "feasible=True",
+        "feasible=False",
+        "feasible=True",
+    ]
+    assert "no feasible point" in res.stderr
+    res = runner.invoke(cli, args + ["0.3,0.4"])
+    assert res.exit_code == 0
+    assert len(res.stdout.splitlines()) == 2
+
+
+def test_search_sweep_rejects_emit_graphon(runner, tmp_path):
+    emitted = tmp_path / "best.json"
+    res = runner.invoke(
+        cli,
+        [
+            "search",
+            "--pattern",
+            "clique:3",
+            "--d",
+            "0.5",
+            "--n",
+            "2",
+            "--starts",
+            "1",
+            "--inner-iterations",
+            "1",
+            "--sweep-d",
+            "0.4,0.6",
+            "--emit-graphon",
+            str(emitted),
+        ],
+    )
+    # rejected before any search runs
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert not emitted.exists()
+
+
 def test_search_bad_input_exit_2(runner):
     res = runner.invoke(cli, ["search", "--pattern", "clique:3", "--d", "1.5"])
     assert res.exit_code == 2

@@ -229,28 +229,128 @@ def test_stacked_subgradients_reject_non_stacks():
             local_density_subgradients(np.zeros(shape))
 
 
+def _spy_det_masks(monkeypatch) -> list:
+    """Patch np.linalg.det to record, per call, how many rows it masks."""
+    det = np.linalg.det
+    masked = []
+
+    def spy(a):
+        dets = det(a)
+        masked.append(int(np.sum(dets == 0.0)))
+        return dets
+
+    monkeypatch.setattr(np.linalg, "det", spy)
+    return masked
+
+
 def test_stacked_subgradients_per_row_solve_fallback(monkeypatch):
     # with the condition gate open, the singular KKT systems of a constant
-    # block make the stacked solve raise and every row is solved on its own
+    # block make the stacked solve raise; the singular rows are masked by
+    # their determinant and the rest are solved as one stack
     monkeypatch.setattr(localdensity, "CONDITION_LIMIT", np.inf)
     rng = np.random.default_rng(7)
     A, C = (_symmetric(rng.uniform(size=(3, 3))) for _ in range(2))
     Bs = [A, np.full((3, 3), 0.5), C]
     mu = np.full(3, 1.0 / 3)
     singles = [local_density_subgradient(StepGraphon(B, mu)) for B in Bs]
-    solve = np.linalg.solve
-    shapes = []
-
-    def spy(a, b):
-        shapes.append(np.shape(a))
-        return solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", spy)
+    masked = _spy_det_masks(monkeypatch)
     stacked = local_density_subgradients(np.array(Bs))
-    assert (4, 4) in shapes  # the per-row fallback ran
+    assert sum(masked) > 0  # the singular-row path ran
     for got, want in zip(stacked, singles):
         _assert_same(got, want)
     assert stacked[1][1].d_star == 0.5
+
+
+def test_subgradients_reject_bad_tie_tol():
+    W = gen_random(3, 1)
+    for tie_tol in (-1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            local_density_subgradient(W, tie_tol=tie_tol)
+        with pytest.raises(ValueError):
+            local_density_subgradients(W.values[None], tie_tol=tie_tol)
+    P, cert = local_density_subgradient(W, tie_tol=0.0)
+    assert np.all(np.isfinite(P))
+
+
+def _cond_first_candidate_arrays(Bs):
+    """The enumerator as it was before the reorder: the condition gate on
+    every KKT system, then the solve of the rows that pass it, then the
+    interior filter.  Test oracle only."""
+    k, n, _ = Bs.shape
+    owners = [np.repeat(np.arange(k), n)]
+    values = [Bs.diagonal(axis1=1, axis2=2).reshape(-1)]
+    witnesses = [np.tile(np.eye(n), (k, 1))]
+    for combos in localdensity._supports_by_cardinality(n):
+        m, r = combos.shape
+        subs = Bs[:, combos[:, :, None], combos[:, None, :]].reshape(k * m, r, r)
+        K = np.zeros((k * m, r + 1, r + 1))
+        K[:, :r, :r] = 2.0 * subs
+        K[:, :r, r] = -1.0
+        K[:, r, :r] = 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            conds = np.linalg.cond(K)
+        ok = np.isfinite(conds) & (conds <= localdensity.CONDITION_LIMIT)
+        if not np.any(ok):
+            continue
+        rhs = np.zeros((int(ok.sum()), r + 1, 1))
+        rhs[:, r, 0] = 1.0
+        try:
+            sols = np.linalg.solve(K[ok], rhs)[:, :r, 0]
+        except np.linalg.LinAlgError:
+            sols = np.full((int(ok.sum()), r), -1.0)
+            for row, Krow in enumerate(K[ok]):
+                try:
+                    sols[row] = np.linalg.solve(Krow, rhs[row])[:r, 0]
+                except np.linalg.LinAlgError:
+                    pass
+        interior = np.all(sols > 0.0, axis=1)
+        if not np.any(interior):
+            continue
+        rows = np.nonzero(ok)[0][interior]
+        owner, support = np.divmod(rows, m)
+        xs = sols[interior]
+        picked = np.zeros((len(rows), n))
+        np.put_along_axis(picked, combos[support], xs, axis=1)
+        owners.append(owner)
+        values.append(localdensity._quadratic_values(xs, subs[rows], owner, k))
+        witnesses.append(picked)
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")
+    values = np.concatenate(values)[order]
+    witnesses = np.concatenate(witnesses)[order]
+    ends = np.cumsum(np.bincount(owner, minlength=k)).tolist()
+    return [(values[a:b], witnesses[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _oracle_inputs(rng, n):
+    uniform = _symmetric(rng.uniform(size=(n, n)))
+    near_constant = 0.5 + _symmetric(rng.choice([-1e-13, 0.0, 1e-13], size=(n, n)))
+    duplicated = uniform.copy()  # block 1 repeats block 0
+    duplicated[1, :] = duplicated[0, :]
+    duplicated[:, 1] = duplicated[0, :]
+    duplicated[1, 1] = duplicated[0, 0]
+    zero_one = _symmetric(rng.integers(0, 2, size=(n, n)).astype(float))
+    zero_diagonal = uniform.copy()
+    np.fill_diagonal(zero_diagonal, 0.0)
+    one_diagonal = zero_one.copy()
+    np.fill_diagonal(one_diagonal, 1.0)
+    return np.array(
+        [uniform, near_constant, np.round(uniform, 1), duplicated, zero_one, zero_diagonal, one_diagonal]
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_solve_then_gate_matches_cond_first_oracle(n, monkeypatch):
+    masked = _spy_det_masks(monkeypatch)
+    Bs = _oracle_inputs(np.random.default_rng(300 + n), n)
+    got = localdensity._candidate_arrays(Bs)
+    want = _cond_first_candidate_arrays(Bs)
+    assert len(got) == len(want) == len(Bs)
+    for (values, witnesses), (want_values, want_witnesses) in zip(got, want):
+        assert np.array_equal(values, want_values)
+        assert np.array_equal(witnesses, want_witnesses)
+    # the duplicated block makes exactly singular systems: the det mask ran
+    assert sum(masked) > 0
 
 
 def test_is_locally_dense():
