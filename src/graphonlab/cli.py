@@ -154,7 +154,18 @@ def _svg_line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
 # --- commands ------------------------------------------------------------------------
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports a ConfigError from any command, such as a bad GRAPHONLAB_BUDGET,
+    as bad config (exit 2) instead of a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ConfigError as exc:
+            _fail(EXIT_INPUT, str(exc))
+
+
+@click.group(cls=_Group)
 def cli():
     """Homomorphism densities, local density, and inequality verification on
     step graphons."""
@@ -308,8 +319,6 @@ def verify(suite, checks, trials, seed, out, fmt):
         config["trials"] = trials
     try:
         reports = verify_mod.run_suite(config)
-    except ConfigError as exc:
-        _fail(EXIT_INPUT, str(exc))
     except BudgetExceededError as exc:
         _fail(EXIT_BUDGET, str(exc))
     if fmt == "json":

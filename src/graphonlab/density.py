@@ -5,12 +5,22 @@ values times the product of block measures:
 
 * hom_density_naive enumerates all n^v(H) maps with compensated summation.
   It is the oracle and stays a direct transcription of the definition.
-* hom_density eliminates one pattern vertex at a time (greedy minimum degree,
-  ties to the lowest vertex id), which turns subdivision-heavy patterns from
-  exponential into low-order polynomial work.
+* hom_density eliminates one pattern vertex at a time (bucket elimination;
+  greedy minimum degree, ties to the lowest vertex id), which turns
+  subdivision-heavy patterns from exponential into low-order polynomial work.
 
-Work is accounted in block-tensor cells touched and checked against a budget
-before any contraction runs.
+The elimination engine compiles once and runs many times.  For each pattern
+and block count n, the plan is replayed symbolically into a program: which
+factor slots every step multiplies, and the transpose and broadcast shape
+that line each one up with the eliminated vertex on the summed axis.  A
+gradient's program holds one such program per edge, with that edge deleted
+and its endpoints pinned.  Programs are cached by (pattern, n), so a call
+only runs array arithmetic: one product per step and one np.dot against
+the weights.  hom_density, hom_density_weighted and grad_hom_density, and
+through hom_density the walk-kernel shortcut, all run on this one engine.
+
+Work is accounted in block-tensor cells touched; every call checks the
+plan's cell count against its budget before any arithmetic runs.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +40,12 @@ from .stepgraphon import StepGraphon, as_step_function
 
 DEFAULT_CELL_BUDGET = 10**9
 DEFAULT_ENUMERATION_BUDGET = 10**8
+# Bound of each compiled-program cache (density, gradient, shared layouts).
+# The working sets fit: the verify checks use 12 patterns at n = 2..10, 108
+# density programs (paper-default alone needs 23), and a search a handful of
+# gradient programs.  A gradient program of a 10-edge pattern holds about
+# 20 KB, so full caches stay near 3 MB.
+PROGRAM_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -79,66 +96,152 @@ def plan_elimination(H: Graph, n: int, pinned: tuple = ()) -> EliminationPlan:
     return EliminationPlan(tuple(order), tuple(arities), n, cost)
 
 
-def _aligned(arr: np.ndarray, axes_vars: tuple, union: tuple, n: int) -> np.ndarray:
-    """View of arr broadcastable over the union variable tuple."""
-    positions = [union.index(w) for w in axes_vars]
-    arr = np.transpose(arr, np.argsort(positions))
-    shape = [1] * len(union)
+class _Step(NamedTuple):
+    """One elimination step of a compiled program.
+
+    slots are the factors touching the eliminated vertex, in factor-list
+    order, and layouts their (transpose permutation, broadcast shape); no
+    slots means an isolated vertex, which contributes the weight sum.  The
+    merged factor puts the eliminated vertex on its last axis, or on its
+    first when that vertex is the lowest of the step (lead), and np.dot then
+    gets its column-major transpose.  That is the layout np.tensordot would
+    pass; row- and column-major dot round differently, so this keeps results
+    bitwise equal to a tensordot contraction.  out is the slot receiving the
+    summed factor of shape out_shape, or None when the sum is a scalar.
+    """
+
+    slots: tuple
+    layouts: tuple
+    lead: bool
+    out: int | None
+    out_shape: tuple
+
+
+class _Program(NamedTuple):
+    """An elimination plan compiled for one (pattern, n).
+
+    Slots 0..edge_count-1 start as the value matrix, one per edge in the
+    order compiled; step outputs fill the later slots.  cost is the plan's
+    cell count.  tail_slots and tail_layouts line up the factors left over
+    the pinned vertices.
+    """
+
+    cost: float
+    edge_count: int
+    steps: tuple
+    pinned: tuple
+    tail_slots: tuple
+    tail_layouts: tuple
+
+
+@lru_cache(maxsize=PROGRAM_CACHE_SIZE)
+def _layout(positions: tuple, width: int, n: int) -> tuple:
+    """(permutation, shape) broadcasting a factor whose axes go to positions
+    of a width-axis product; shared by every program that needs it."""
+    shape = [1] * width
     for p in positions:
         shape[p] = n
-    return arr.reshape(shape)
+    return tuple(sorted(range(len(positions)), key=positions.__getitem__)), tuple(shape)
 
 
-def _contract(
-    n: int,
-    vertex_count: int,
-    edges,
-    B: np.ndarray,
-    weights: np.ndarray,
-    plan: EliminationPlan,
-    budget: float,
-    pinned: tuple = (),
-):
-    """Sum out plan.order one vertex at a time.
+def _layouts(factors, order: tuple, n: int) -> tuple:
+    return tuple(
+        _layout(tuple(order.index(w) for w in vars_), len(order), n) for vars_, _ in factors
+    )
 
-    weights[v] is the unary weight vector applied when vertex v is summed out.
-    Pinned vertices survive; the return value is (scalar, factor-over-pinned)
-    with pinned weights left to the caller.
-    """
-    factors = [((u, v), B) for (u, v) in edges]
-    scalar = 1.0
-    cells = 0.0
+
+def _compile(edges: tuple, plan: EliminationPlan, n: int, pinned: tuple = ()) -> _Program:
+    """Replay plan.order on factor scopes only; no values are involved."""
+    factors = [(edge, slot) for slot, edge in enumerate(edges)]
+    next_slot = len(edges)
+    steps = []
     for v in plan.order:
         touching = [f for f in factors if v in f[0]]
         factors = [f for f in factors if v not in f[0]]
         if not touching:
-            scalar *= float(weights[v].sum())
+            steps.append(_Step((), (), False, None, ()))
             continue
-        union = tuple(sorted(set().union(*(vars_ for vars_, _ in touching))))
-        cells += float(n) ** len(union)
-        if cells > budget:
-            raise BudgetExceededError(
-                f"contraction would touch more than {budget:g} cells"
-            )
-        merged = np.ones((n,) * len(union))
-        for vars_, arr in touching:
-            merged = merged * _aligned(arr, vars_, union, n)
-        axis = union.index(v)
-        summed = np.tensordot(merged, weights[v], axes=([axis], [0]))
+        union = sorted(set().union(*(vars_ for vars_, _ in touching)))
         rest = tuple(w for w in union if w != v)
+        lead = bool(rest) and v == union[0]
+        order = (v,) + rest if lead else rest + (v,)
+        out = None
         if rest:
-            factors.append((rest, summed))
+            out = next_slot
+            next_slot += 1
+            factors.append((rest, out))
+        slots = tuple(slot for _, slot in touching)
+        steps.append(_Step(slots, _layouts(touching, order, n), lead, out, (n,) * len(rest)))
+    # a factor left off the pinned vertices would be a planning bug
+    assert all(set(vars_) <= set(pinned) for vars_, _ in factors)
+    tail_slots = tuple(slot for _, slot in factors)
+    tail_layouts = _layouts(factors, pinned, n)
+    return _Program(plan.cost, len(edges), tuple(steps), pinned, tail_slots, tail_layouts)
+
+
+@lru_cache(maxsize=PROGRAM_CACHE_SIZE)
+def _density_program(H: Graph, n: int) -> _Program:
+    return _compile(H.edge_list, plan_elimination(H, n), n)
+
+
+@lru_cache(maxsize=PROGRAM_CACHE_SIZE)
+def _gradient_program(H: Graph, n: int) -> tuple:
+    """One program per edge (u, v) of H: H without that edge, u and v pinned.
+
+    The edge-deleted graphs are planned without the plan cache, since no
+    other call asks for them.
+    """
+    programs = []
+    for edge in H.edge_list:
+        rest_edges = tuple(e for e in H.edge_list if e != edge)
+        rest = Graph(H.vertex_count, frozenset(rest_edges))
+        plan = plan_elimination.__wrapped__(rest, n, pinned=edge)
+        programs.append(_compile(rest_edges, plan, n, pinned=edge))
+    return tuple(programs)
+
+
+def _check_budget(cost: float, budget: float) -> None:
+    # a step touches n^arity cells and the plan's cost sums them over all
+    # steps, so passing this check bounds the whole run
+    if cost > budget:
+        raise BudgetExceededError(
+            f"elimination plan needs {cost:g} cells, budget {budget:g}"
+        )
+
+
+def _run(program: _Program, B: np.ndarray, weight: np.ndarray):
+    """Run program on value matrix B with the unary weight at every vertex.
+
+    Returns (scalar, factor over the pinned vertices); the factor is None
+    when nothing is pinned, and pinned weights are left to the caller.
+    """
+    n = len(weight)
+    column = weight.reshape(n, 1)
+    slots = [B] * program.edge_count + [None] * len(program.steps)
+    scalar = 1.0
+    for step_slots, layouts, lead, out, out_shape in program.steps:
+        if not step_slots:
+            scalar *= float(weight.sum())
+            continue
+        merged = None
+        for slot, (perm, shape) in zip(step_slots, layouts):
+            arr = slots[slot].transpose(perm).reshape(shape)
+            slots[slot] = None
+            merged = arr if merged is None else merged * arr
+        merged = np.ascontiguousarray(merged)
+        matrix = merged.reshape(n, -1).T if lead else merged.reshape(-1, n)
+        summed = np.dot(matrix, column)
+        if out is None:
+            scalar *= float(summed[0, 0])
         else:
-            scalar *= float(summed)
-    if pinned:
-        pin = tuple(sorted(pinned))
-        out = np.ones((n,) * len(pin))
-        for vars_, arr in factors:
-            out = out * _aligned(arr, vars_, pin, n)
-        return scalar, out
-    # all variables eliminated; any leftover factor would be a planning bug
-    assert not factors
-    return scalar, None
+            slots[out] = summed.reshape(out_shape)
+    if not program.pinned:
+        return scalar, None
+    # seeded with ones: the tail may be empty (K2) or span one pinned vertex
+    factor = np.ones((n,) * len(program.pinned))
+    for slot, (perm, shape) in zip(program.tail_slots, program.tail_layouts):
+        factor = factor * slots[slot].transpose(perm).reshape(shape)
+    return scalar, factor
 
 
 def hom_density(H: Graph, W: StepGraphon, budget: float | None = None) -> float:
@@ -156,13 +259,9 @@ def hom_density_weighted(H: Graph, W: StepGraphon, omega, budget: float | None =
         weight = W.measures
     else:
         weight = as_step_function(omega, W).values * W.measures
-    weights = {v: weight for v in range(H.vertex_count)}
-    plan = plan_elimination(H, n)
-    if plan.cost > budget:
-        raise BudgetExceededError(
-            f"elimination plan needs {plan.cost:g} cells, budget {budget:g}"
-        )
-    scalar, _ = _contract(n, H.vertex_count, H.edge_list, W.values, weights, plan, budget)
+    program = _density_program(H, n)
+    _check_budget(program.cost, budget)
+    scalar, _ = _run(program, W.values, weight)
     return float(scalar)
 
 
@@ -224,20 +323,12 @@ def grad_hom_density(H: Graph, W: StepGraphon, budget: float | None = None) -> n
     G = np.zeros((n, n))
     if H.vertex_count == 0:
         return G
+    programs = _gradient_program(H, n)
+    for program in programs:
+        _check_budget(program.cost, budget)
     outer_mu = np.outer(mu, mu)
-    weights = {v: mu for v in range(H.vertex_count)}
-    for edge in H.edge_list:
-        u, v = edge
-        rest_edges = tuple(e for e in H.edge_list if e != edge)
-        rest = Graph(H.vertex_count, frozenset(rest_edges))
-        plan = plan_elimination(rest, n, pinned=(u, v))
-        if plan.cost > budget:
-            raise BudgetExceededError(
-                f"elimination plan needs {plan.cost:g} cells, budget {budget:g}"
-            )
-        scalar, factor = _contract(
-            n, H.vertex_count, rest_edges, W.values, weights, plan, budget, pinned=(u, v)
-        )
+    for program in programs:
+        scalar, factor = _run(program, W.values, mu)
         T = scalar * factor * outer_mu
         G += T + T.T - np.diag(np.diag(T))
     return G

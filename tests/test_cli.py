@@ -139,6 +139,45 @@ def test_density_budget_env_exit_3(runner):
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize("value", ["abc", "", "nan", "inf", "-inf", "0", "-5"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["density", "--pattern", "clique:3", "--graphon", "random:4:1"],
+        ["density", "--pattern", "clique:3", "--graphon", "random:4:1", "--route", "naive"],
+        ["localdensity", "--graphon", "random:4:1"],
+        ["localdensity", "--graphon", "random:4:1", "--method", "grid"],
+        ["verify", "--check", "knrs", "--trials", "1"],
+        ["search", "--pattern", "clique:3", "--d", "0.5", "--n", "2", "--starts", "1",
+         "--inner-iterations", "1"],
+    ],
+    ids=["density", "density-naive", "localdensity", "localdensity-grid", "verify", "search"],
+)
+def test_bad_budget_env_exit_2(runner, args, value):
+    # non-numeric, NaN, infinite and non-positive budgets are bad config
+    res = runner.invoke(cli, args, env={"GRAPHONLAB_BUDGET": value})
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.splitlines() == [
+        f"error: GRAPHONLAB_BUDGET must be a finite number above 0, got {value!r}"
+    ]
+    assert res.stdout == ""
+
+
+def test_budget_env_positive_values_apply(runner):
+    res = runner.invoke(
+        cli,
+        ["density", "--pattern", "clique:3", "--graphon", "const:0.5"],
+        env={"GRAPHONLAB_BUDGET": "1e3"},
+    )
+    assert res.exit_code == 0
+    assert float(res.output) == 0.125
+    res = runner.invoke(
+        cli, ["localdensity", "--graphon", "random:3:0"], env={"GRAPHONLAB_BUDGET": "0.5"}
+    )
+    assert res.exit_code == 3
+
+
 # --- localdensity ----------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from graphonlab import (
     BudgetExceededError,
     Graph,
     StepFunction,
+    StepGraphon,
     clique,
+    complete_multipartite,
     constant,
     cycle_graph,
     edge_density,
@@ -26,7 +29,9 @@ from graphonlab import (
     per_entry_gradient,
     subdivide,
 )
-from graphonlab.density import plan_elimination
+from graphonlab import density
+from graphonlab.density import PROGRAM_CACHE_SIZE, plan_elimination
+from graphonlab.stepgraphon import as_step_function
 
 RNG_SEEDS = st.integers(0, 2**31 - 1)
 
@@ -185,3 +190,171 @@ def test_per_entry_gradient():
     down = hom_density(h, StepGraphon(np.clip(w.values - t * D, 0, 1), w.measures))
     fd = (up - down) / (2 * t)
     assert float((E * D).sum()) == pytest.approx(fd, rel=1e-5, abs=1e-9)
+
+
+# --- compiled engine against the interpretive one it replaced ------------------------
+
+
+def _oracle_aligned(arr, axes_vars, union, n):
+    positions = [union.index(w) for w in axes_vars]
+    arr = np.transpose(arr, np.argsort(positions))
+    shape = [1] * len(union)
+    for p in positions:
+        shape[p] = n
+    return arr.reshape(shape)
+
+
+def _oracle_contract(n, edges, B, weight, order, pinned=()):
+    """Per-call elimination: regroups the factors at every step, seeds each
+    product with ones and sums out with np.tensordot."""
+    factors = [((u, v), B) for (u, v) in edges]
+    scalar = 1.0
+    for v in order:
+        touching = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        if not touching:
+            scalar *= float(weight.sum())
+            continue
+        union = tuple(sorted(set().union(*(vars_ for vars_, _ in touching))))
+        merged = np.ones((n,) * len(union))
+        for vars_, arr in touching:
+            merged = merged * _oracle_aligned(arr, vars_, union, n)
+        summed = np.tensordot(merged, weight, axes=([union.index(v)], [0]))
+        rest = tuple(w for w in union if w != v)
+        if rest:
+            factors.append((rest, summed))
+        else:
+            scalar *= float(summed)
+    if not pinned:
+        assert not factors
+        return scalar, None
+    out = np.ones((n,) * len(pinned))
+    for vars_, arr in factors:
+        out = out * _oracle_aligned(arr, vars_, pinned, n)
+    return scalar, out
+
+
+def _oracle_density(H, W, weight):
+    plan = plan_elimination.__wrapped__(H, W.n)
+    return _oracle_contract(W.n, H.edge_list, W.values, weight, plan.order)[0]
+
+
+def _oracle_gradient(H, W):
+    n, mu = W.n, W.measures
+    G = np.zeros((n, n))
+    outer_mu = np.outer(mu, mu)
+    for edge in H.edge_list:
+        rest_edges = tuple(e for e in H.edge_list if e != edge)
+        plan = plan_elimination.__wrapped__(Graph(H.vertex_count, rest_edges), n, pinned=edge)
+        scalar, factor = _oracle_contract(n, rest_edges, W.values, mu, plan.order, pinned=edge)
+        T = scalar * factor * outer_mu
+        G += T + T.T - np.diag(np.diag(T))
+    return G
+
+
+ORACLE_PATTERNS = {
+    "K2": clique(2),  # the gradient's pinned tail has no factors
+    "P3": path_graph(2),  # a pinned tail factor spans one pinned vertex
+    "K3": clique(3),
+    "K4": clique(4),
+    "C5": cycle_graph(5),
+    "K2,3": complete_multipartite(2, 3),
+    "K3+isolated": Graph(5, [(0, 3), (3, 4), (0, 4)]),  # vertices 1, 2 sum the weights
+    "K2+P3": Graph(5, [(0, 4), (1, 2), (2, 3)]),
+    "K4 subdivided": Graph(10, [(6, 0), (0, 1), (1, 9), (2, 9), (2, 7), (7, 3), (3, 6), (3, 8),
+                                (8, 5), (5, 9), (4, 6), (4, 1), (0, 7), (5, 2)]),
+}
+
+
+def _oracle_graphons(n: int, rng: np.random.Generator):
+    values = np.triu(rng.uniform(0.0, 1.0, size=(n, n)))
+    values = values + np.triu(values, 1).T
+    tiny = rng.dirichlet(np.full(n, 0.1)) + 1e-12  # Dirichlet with tiny blocks
+    zero_one = np.triu(rng.random((n, n)) < 0.5).astype(float)
+    zero_one = zero_one + np.triu(zero_one, 1).T
+    zero_one[0, :] = zero_one[:, 0] = 0.0
+    if n > 1:
+        zero_one[1, 1] = 1.0
+    return {
+        "uniform": StepGraphon(values, np.full(n, 1.0 / n)),
+        "tiny blocks": StepGraphon(values, tiny / tiny.sum()),
+        "zero-one": StepGraphon(zero_one, rng.dirichlet(np.ones(n))),
+        "all ones": StepGraphon(np.ones((n, n)), tiny / tiny.sum()),
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_compiled_engine_matches_interpretive_oracle(n):
+    rng = np.random.default_rng([2024, n])
+    for wname, W in _oracle_graphons(n, rng).items():
+        omega = rng.uniform(0.0, 2.0, size=n)
+        omega[rng.random(n) < 0.3] = 0.0
+        weight = as_step_function(omega, W).values * W.measures
+        for hname, H in ORACLE_PATTERNS.items():
+            case = (wname, hname)
+            t = hom_density(H, W)
+            assert t == _oracle_density(H, W, W.measures), case
+            assert hom_density_weighted(H, W, omega) == _oracle_density(H, W, weight), case
+            assert np.array_equal(grad_hom_density(H, W), _oracle_gradient(H, W)), case
+            if n**H.vertex_count <= 50_000:
+                naive = hom_density_naive(H, W)
+                assert math.isclose(t, naive, rel_tol=1e-12, abs_tol=0.0), case
+
+
+def test_gradient_programs_leave_plan_cache_alone():
+    # a gradient plans its edge-deleted graphs inside its own program, so
+    # fresh patterns add no plan-cache entry, and programs stay bounded
+    W = gen_random(3, seed=2)
+    base = ORACLE_PATTERNS["K4 subdivided"]
+    rng = np.random.default_rng(5)
+    before = plan_elimination.cache_info()
+    for _ in range(PROGRAM_CACHE_SIZE + 8):
+        perm = [int(p) for p in rng.permutation(base.vertex_count)]
+        H = Graph(base.vertex_count, [(perm[u], perm[v]) for u, v in base.edges])
+        grad_hom_density(H, W)
+    assert plan_elimination.cache_info() == before
+    assert density._gradient_program.cache_info().currsize <= PROGRAM_CACHE_SIZE
+    assert density._density_program.cache_info().currsize <= PROGRAM_CACHE_SIZE
+
+
+def _no_arithmetic(*args, **kwargs):
+    raise AssertionError("contraction ran past the budget check")
+
+
+def test_budget_checked_before_any_arithmetic(monkeypatch):
+    # pinning (1, 4) costs more than pinning any other edge, so only the
+    # third pinned plan exceeds grad_budget
+    H = Graph(6, [(0, 4), (0, 5), (1, 4), (2, 3), (2, 5), (3, 5)])
+    W = gen_random(5, seed=3)
+    omega = np.linspace(0.5, 1.5, 5)
+    cost = plan_elimination(H, W.n).cost
+    edge_costs = [
+        plan_elimination.__wrapped__(
+            Graph(H.vertex_count, [e for e in H.edge_list if e != edge]), W.n, pinned=edge
+        ).cost
+        for edge in H.edge_list
+    ]
+    grad_budget = (min(edge_costs) + max(edge_costs)) / 2
+    first_over = next(c for c in edge_costs if c > grad_budget)
+    assert edge_costs[0] < grad_budget < first_over
+
+    def check_budget_errors():
+        with monkeypatch.context() as m:
+            m.setattr(density, "_run", _no_arithmetic)
+            message = f"elimination plan needs {cost:g} cells, budget {cost - 1:g}"
+            with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
+                hom_density(H, W, budget=cost - 1)
+            with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
+                hom_density_weighted(H, W, omega, budget=cost - 1)
+            message = f"elimination plan needs {first_over:g} cells, budget {grad_budget:g}"
+            with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
+                grad_hom_density(H, W, budget=grad_budget)
+
+    density._density_program.cache_clear()
+    density._gradient_program.cache_clear()
+    check_budget_errors()
+    hom_density(H, W)
+    grad_hom_density(H, W)
+    check_budget_errors()  # with both programs cached
+    # a budget equal to the cost passes, and explicit budgets take any number
+    assert hom_density(H, W, budget=cost) == hom_density(H, W, budget=math.inf)
