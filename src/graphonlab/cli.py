@@ -1,7 +1,9 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 failed verification checks, 2 bad input or config,
-3 budget exceeded, 4 search found no feasible point.
+Exit codes: 0 success, 1 failed verification checks, 2 bad input or config
+(including an output file that cannot be written), 3 budget exceeded, 4 search
+found no feasible point, 5 internal error.  Every error exit prints one
+`error: ...` line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ EXIT_CHECK_FAILURE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INFEASIBLE = 4
+EXIT_INTERNAL = 5
 
 
 def _fail(code: int, message: str):
@@ -155,14 +158,23 @@ def _svg_line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
 
 
 class _Group(click.Group):
-    """Reports a ConfigError from any command, such as a bad GRAPHONLAB_BUDGET,
-    as bad config (exit 2) instead of a traceback."""
+    """Maps any error a command raises to its exit code and one `error:` line
+    instead of a traceback: ConfigError (such as a bad GRAPHONLAB_BUDGET) and
+    OSError (such as an unwritable --out path) exit 2, BudgetExceededError
+    exits 3 and anything else exits 5.  click's own exceptions, SystemExit and
+    a broken stdout pipe (which click silences) pass through."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ConfigError as exc:
+        except (click.ClickException, click.Abort, click.exceptions.Exit, BrokenPipeError):
+            raise
+        except (ConfigError, OSError) as exc:
             _fail(EXIT_INPUT, str(exc))
+        except BudgetExceededError as exc:
+            _fail(EXIT_BUDGET, str(exc))
+        except Exception as exc:
+            _fail(EXIT_INTERNAL, f"internal: {type(exc).__name__}: {exc}")
 
 
 @click.group(cls=_Group)
@@ -196,28 +208,25 @@ def density(pattern, graphon, route, subdivision):
     except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))
     H_eff = graphs_mod.subdivide(H, subdivision)
-    try:
-        if route == "fast":
-            click.echo(repr(hom_density(H_eff, W)))
-            return
-        if route == "naive":
-            click.echo(repr(hom_density_naive(H_eff, W)))
-            return
-        rows = []
+    if route == "fast":
+        click.echo(repr(hom_density(H_eff, W)))
+        return
+    if route == "naive":
+        click.echo(repr(hom_density_naive(H_eff, W)))
+        return
+    rows = []
+    t0 = time.perf_counter()
+    value = hom_density(H_eff, W)
+    rows.append(("eliminated", value, time.perf_counter() - t0))
+    t0 = time.perf_counter()
+    value = hom_density_naive(H_eff, W)
+    rows.append(("naive", value, time.perf_counter() - t0))
+    if subdivision > 0:
         t0 = time.perf_counter()
-        value = hom_density(H_eff, W)
-        rows.append(("eliminated", value, time.perf_counter() - t0))
-        t0 = time.perf_counter()
-        value = hom_density_naive(H_eff, W)
-        rows.append(("naive", value, time.perf_counter() - t0))
-        if subdivision > 0:
-            t0 = time.perf_counter()
-            value = hom_density_subdivided(H, subdivision, W)
-            rows.append(("walk-kernel shortcut", value, time.perf_counter() - t0))
-        for label, value, elapsed in rows:
-            click.echo(f"{label:22s} {value!r}  ({elapsed * 1e3:.3f} ms)")
-    except BudgetExceededError as exc:
-        _fail(EXIT_BUDGET, str(exc))
+        value = hom_density_subdivided(H, subdivision, W)
+        rows.append(("walk-kernel shortcut", value, time.perf_counter() - t0))
+    for label, value, elapsed in rows:
+        click.echo(f"{label:22s} {value!r}  ({elapsed * 1e3:.3f} ms)")
 
 
 @cli.command()
@@ -237,15 +246,12 @@ def localdensity(graphon, method, resolution, starts, seed):
         W = parse_graphon(graphon)
     except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))
-    try:
-        if method == "exact":
-            cert = ld.local_density_exact(W)
-        elif method == "estimate":
-            cert = ld.local_density_estimate(W, starts=starts, seed=seed)
-        else:
-            cert = ld.grid_certificate(W, resolution)
-    except BudgetExceededError as exc:
-        _fail(EXIT_BUDGET, str(exc))
+    if method == "exact":
+        cert = ld.local_density_exact(W)
+    elif method == "estimate":
+        cert = ld.local_density_estimate(W, starts=starts, seed=seed)
+    else:
+        cert = ld.grid_certificate(W, resolution)
     click.echo(json.dumps(cert.to_json(), sort_keys=True))
 
 
@@ -317,10 +323,7 @@ def verify(suite, checks, trials, seed, out, fmt):
         config["checks"] = list(checks)
     if trials is not None:
         config["trials"] = trials
-    try:
-        reports = verify_mod.run_suite(config)
-    except BudgetExceededError as exc:
-        _fail(EXIT_BUDGET, str(exc))
+    reports = verify_mod.run_suite(config)
     if fmt == "json":
         text = verify_mod.reports_to_json(reports, config)
     else:
@@ -405,10 +408,8 @@ def search(pattern, d, n, starts, seed, inner_iterations, probe_k, sweep_d, emit
                 sys.exit(EXIT_INFEASIBLE)
             return
         result = run(d)
-    except (ValueError, NotImplementedError) as exc:
+    except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))
-    except BudgetExceededError as exc:
-        _fail(EXIT_BUDGET, str(exc))
     if emit_graphon:
         sg.save_graphon(result.best_graphon, emit_graphon)
     if plot:

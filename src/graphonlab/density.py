@@ -330,7 +330,9 @@ def grad_hom_density(H: Graph, W: StepGraphon, budget: float | None = None) -> n
     for program in programs:
         scalar, factor = _run(program, W.values, mu)
         T = scalar * factor * outer_mu
-        G += T + T.T - np.diag(np.diag(T))
+        S = T + T.T
+        np.fill_diagonal(S, T.diagonal())
+        G += S
     return G
 
 

@@ -312,16 +312,17 @@ def local_density_estimate(W: StepGraphon, starts: int = 20, seed: int = 0) -> L
 
 
 def _simplex_lattice(n: int, resolution: int) -> np.ndarray:
-    if n == 1:
-        return np.array([[resolution]], dtype=np.int64)
-    rows = []
-    for first in range(resolution + 1):
-        rest = _simplex_lattice(n - 1, resolution - first)
-        block = np.empty((rest.shape[0], n), dtype=np.int64)
-        block[:, 0] = first
-        block[:, 1:] = rest
-        rows.append(block)
-    return np.vstack(rows)
+    """Every x in N^n summing to resolution, in lexicographic order: the gaps
+    between n - 1 bars among resolution + n - 1 slots (stars and bars)."""
+    slots = resolution + n - 1
+    count = math.comb(slots, n - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), n - 1)),
+        dtype=np.int64,
+        count=count * (n - 1),
+    ).reshape(count, n - 1)
+    fences = np.pad(bars, ((0, 0), (1, 1)), constant_values=((0, 0), (-1, slots)))
+    return np.diff(fences, axis=1) - 1
 
 
 def grid_certificate(W: StepGraphon, resolution: int, budget: float | None = None) -> LocalDensityCertificate:

@@ -48,6 +48,13 @@ LAMBDA_SCHEDULE = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 # 47-step ladder at once: a bigger block wastes more solves past the accepted
 # step, a smaller one pays the per-call overhead more often.
 LADDER_BLOCK = 8
+ARMIJO_SIGMA = 1e-4  # sufficient-decrease coefficient
+ARMIJO_FACTOR = 0.5  # step shrink per backtrack
+FEASIBILITY_TOL = 1e-6  # residuals up to this count as feasible
+STATIONARITY_TOL = 1e-10  # projected-step norm that ends a penalty level
+PROGRESS_TOL = 1e-11  # decrease below which an accepted step counts as stalled
+STALL_ITERATIONS = 5  # stalled steps in a row that end a penalty level
+LOG_EVERY = 10  # trajectory sampling interval, in accepted steps
 
 
 @dataclass
@@ -55,15 +62,7 @@ class SearchConfig:
     starts: int = 8
     lambda_schedule: tuple = LAMBDA_SCHEDULE
     inner_iterations: int = 500
-    armijo_sigma: float = 1e-4
-    armijo_factor: float = 0.5
-    feasibility_tol: float = 1e-6
-    stationarity_tol: float = 1e-10
-    progress_tol: float = 1e-11
-    stall_iterations: int = 5
-    log_every: int = 10
     include_constant_start: bool = True
-    optimize_measures: bool = False  # reserved; measures stay uniform for now
 
 
 @dataclass(eq=False)
@@ -101,16 +100,19 @@ class SearchResult:
         return doc
 
 
-def _armijo_ladder(factor: float) -> list:
-    """The backtracking steps eta = 1, factor, factor^2, ... (while above
-    1e-14) as the arrays they are solved in: eta = 1 alone, since it is often
-    accepted, then LADDER_BLOCK steps at a time."""
+def _armijo_ladder() -> list:
+    """The backtracking steps eta = 1, ARMIJO_FACTOR, ARMIJO_FACTOR^2, ...
+    (while above 1e-14) as the arrays they are solved in: eta = 1 alone, since
+    it is often accepted, then LADDER_BLOCK steps at a time."""
     etas = []
     eta = 1.0
     while eta > 1e-14:
         etas.append(eta)
-        eta *= factor
+        eta *= ARMIJO_FACTOR
     return np.split(np.array(etas), range(1, len(etas), LADDER_BLOCK))
+
+
+ARMIJO_LADDER = _armijo_ladder()
 
 
 def _restore_feasibility(B: np.ndarray, d_star: float, d: float) -> np.ndarray:
@@ -137,14 +139,11 @@ def _penalty_search(
     config_echo: dict,
     weak_bound: float | None = None,
 ) -> SearchResult:
-    if cfg.optimize_measures:
-        raise NotImplementedError("measure optimization is reserved and not implemented")
+    """grad_fn(W) returns the per-entry gradient of value_fn (see per_entry_gradient)."""
     if not 0.0 < d < 1.0:
         raise ValueError("target density must lie in (0, 1)")
     if cfg.starts < 1:
         raise ValueError("need at least one start")
-    if not cfg.armijo_factor < 1.0:
-        raise ValueError("armijo factor must be below 1")
     mu = np.full(n, 1.0 / n)
     rng = np.random.default_rng(seed)
 
@@ -161,7 +160,6 @@ def _penalty_search(
         residual = max(0.0, d - cert.d_star)
         return W, value, P, residual
 
-    ladder = _armijo_ladder(cfg.armijo_factor)
     best = None  # (value, start_index, B, residual), certified feasible only
     best_near = None  # same shape, 0 < residual <= tol, restored at the end
     best_infeasible = None  # (residual, start_index, B, value)
@@ -173,7 +171,7 @@ def _penalty_search(
         if residual == 0.0:
             if best is None or value < best[0]:
                 best = (value, start_index, B.copy(), residual)
-        elif residual <= cfg.feasibility_tol:
+        elif residual <= FEASIBILITY_TOL:
             near_seen = True
             if best_near is None or value < best_near[0]:
                 best_near = (value, start_index, B.copy(), residual)
@@ -191,17 +189,16 @@ def _penalty_search(
             for _ in range(cfg.inner_iterations):
                 penalized = value + lam * residual**2
                 track(value, start_index, B, residual)
-                if global_iter % cfg.log_every == 0:
+                if global_iter % LOG_EVERY == 0:
                     trajectory.append((global_iter, penalized, residual))
-                grad = grad_fn(W)
-                E = per_entry_gradient(grad)
+                E = grad_fn(W)
                 if residual > 0.0:
                     E = E - 2.0 * lam * residual * P
                 mapped = np.clip(B - E, 0.0, 1.0)
-                if float(np.linalg.norm(B - mapped)) <= cfg.stationarity_tol:
+                if float(np.linalg.norm(B - mapped)) <= STATIONARITY_TOL:
                     break
                 accepted = None
-                for etas in ladder:
+                for etas in ARMIJO_LADDER:
                     trials = np.clip(B - etas[:, None, None] * E, 0.0, 1.0)
                     solved = local_density_subgradients(trials)
                     for eta, Bn, (Pn, cert) in zip(etas, trials, solved):
@@ -215,7 +212,7 @@ def _penalty_search(
                         # strict decrease required: once the sufficient-decrease
                         # term rounds to zero, a plain <= would accept ties forever
                         if fn < penalized and fn <= penalized - (
-                            cfg.armijo_sigma / eta
+                            ARMIJO_SIGMA / eta
                         ) * float(np.sum(step * step)):
                             accepted = (Bn, Wn, vn, Pn, rn)
                             break
@@ -228,9 +225,9 @@ def _penalty_search(
                 # give up on this penalty level once accepted steps stop
                 # making measurable progress; the cap alone would burn the
                 # remaining iterations crawling at the 12th digit
-                if penalized - (value + lam * residual**2) <= cfg.progress_tol:
+                if penalized - (value + lam * residual**2) <= PROGRESS_TOL:
                     stalled += 1
-                    if stalled >= cfg.stall_iterations:
+                    if stalled >= STALL_ITERATIONS:
                         break
                 else:
                     stalled = 0
@@ -296,7 +293,7 @@ def minimize_hom_density(
     }
     return _penalty_search(
         value_fn=lambda W: hom_density(H, W),
-        grad_fn=lambda W: grad_hom_density(H, W),
+        grad_fn=lambda W: per_entry_gradient(grad_hom_density(H, W)),
         verify_fn=lambda W: hom_density(H, W),
         d=d,
         n=n,
@@ -344,10 +341,7 @@ def probe_even_subdivision(
         P = np.zeros_like(B)
         for p in range(1, m + 1):
             P += c_pow[p - 1] @ Ev @ d_pow[m - p]
-        P = (P + P.T) / 2.0
-        # per-entry to symmetric-parameter and back: double the off-diagonal
-        G = P + P.T - np.diag(np.diag(P))
-        return G
+        return (P + P.T) / 2.0
 
     echo = {
         "task": "probe_even_subdivision",

@@ -556,3 +556,53 @@ def test_search_bad_input_exit_2(runner):
         res = runner.invoke(cli, args)
         assert res.exit_code == 2, args
         assert res.stdout == "", args
+
+
+# --- exit-code contract -------------------------------------------------------------
+
+
+QUICK_SEARCH = ["search", "--pattern", "clique:2", "--d", "0.5", "--n", "2", "--starts", "1",
+                "--inner-iterations", "1"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["op", "--graphon", "const:0.5", "--kind", "path-power", "--s", "2", "--out"],
+        ["verify", "--check", "transform", "--trials", "1", "--out"],
+        QUICK_SEARCH + ["--emit-graphon"],
+        QUICK_SEARCH + ["--plot"],
+        QUICK_SEARCH + ["--sweep-d", "0.3,0.5", "--plot"],
+    ],
+    ids=["op-out", "verify-out", "search-emit-graphon", "search-plot", "search-sweep-plot"],
+)
+def test_unwritable_output_path_exit_2(runner, tmp_path, args):
+    bad = tmp_path / "missing" / "out.json"
+    res = runner.invoke(cli, args + [str(bad)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.splitlines() == [
+        f"error: [Errno 2] No such file or directory: {str(bad)!r}"
+    ]
+
+
+@pytest.mark.parametrize(
+    "target, args",
+    [
+        ("graphonlab.cli.hom_density", ["density", "--pattern", "clique:3", "--graphon", "const:0.5"]),
+        ("graphonlab.localdensity.local_density_exact", ["localdensity", "--graphon", "const:0.5"]),
+        ("graphonlab.verify.run_suite", ["verify", "--check", "transform", "--trials", "1"]),
+        ("graphonlab.search.minimize_hom_density", QUICK_SEARCH),
+    ],
+    ids=["density", "localdensity", "verify", "search"],
+)
+def test_internal_error_exit_5(runner, monkeypatch, target, args):
+    def broken(*a, **kw):
+        raise RuntimeError("backend broke")
+
+    monkeypatch.setattr(target, broken)
+    res = runner.invoke(cli, args)
+    assert res.exit_code == 5, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == ["error: internal: RuntimeError: backend broke"]

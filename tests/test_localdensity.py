@@ -143,6 +143,30 @@ def test_grid_certificate_method():
             grid_certificate(constant(0.2, blocks=2), resolution)
 
 
+def _recursive_simplex_lattice(n, resolution):
+    # the lattice built one leading coordinate at a time, in lexicographic order
+    if n == 1:
+        return np.array([[resolution]], dtype=np.int64)
+    rows = []
+    for first in range(resolution + 1):
+        rest = _recursive_simplex_lattice(n - 1, resolution - first)
+        block = np.empty((rest.shape[0], n), dtype=np.int64)
+        block[:, 0] = first
+        block[:, 1:] = rest
+        rows.append(block)
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+@pytest.mark.parametrize("resolution", (1, 2, 5, 12))
+def test_simplex_lattice_matches_recursive_order(n, resolution):
+    # same rows in the same order, so grid_certificate's first argmin is unchanged
+    lattice = localdensity._simplex_lattice(n, resolution)
+    expected = _recursive_simplex_lattice(n, resolution)
+    assert lattice.dtype == expected.dtype
+    assert np.array_equal(lattice, expected)
+
+
 def test_exact_budget_guard():
     w = gen_random(3, seed=5)
     with pytest.raises(BudgetExceededError):
