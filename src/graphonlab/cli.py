@@ -20,6 +20,7 @@ from . import operators as ops
 from . import search as search_mod
 from . import stepgraphon as sg
 from . import verify as verify_mod
+from .budget import resolve_budget
 from .density import hom_density, hom_density_naive, hom_density_subdivided
 from .errors import BudgetExceededError, ConfigError, GraphonLabError
 from .graphs import Graph
@@ -29,6 +30,10 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INFEASIBLE = 4
 EXIT_INTERNAL = 5
+
+# Largest value matrix a graphon spec may ask for, in cells: 10**7 cells are
+# 80 MB of float64, n = 3162 blocks.
+DEFAULT_GRAPHON_CELLS = 10**7
 
 
 def _fail(code: int, message: str):
@@ -56,9 +61,14 @@ def parse_pattern(spec: str) -> Graph:
 
 
 def _block_count(text: str) -> int:
+    """A graphon spec's block count n, checked before anything is allocated:
+    its n * n values must fit DEFAULT_GRAPHON_CELLS (or GRAPHONLAB_BUDGET)."""
     n = int(text)
     if n < 1:
         raise ValueError(f"block count must be at least 1, got {n}")
+    budget = resolve_budget(None, DEFAULT_GRAPHON_CELLS)
+    if n * n > budget:
+        raise BudgetExceededError(f"{n} blocks make {n * n} cells, beyond the budget of {budget:g}")
     return n
 
 
@@ -80,6 +90,8 @@ def parse_graphon(spec: str) -> sg.StepGraphon:
             return sg.gen_regular(_block_count(parts[1]), float(parts[2]), int(parts[3]))
         if head == "dense" and len(parts) == 4:
             return sg.gen_pointwise_dense(_block_count(parts[1]), float(parts[2]), int(parts[3]))
+    except (BudgetExceededError, ConfigError):
+        raise
     except (OSError, ValueError, GraphonLabError) as exc:
         raise ValueError(f"bad graphon spec {spec!r}: {exc}") from exc
     raise ValueError(f"bad graphon spec {spec!r}")

@@ -106,11 +106,12 @@ def _quadratic_values(xs: np.ndarray, subs: np.ndarray, owner: np.ndarray, k: in
     return np.cumsum(terms.reshape(m, r * r), axis=1)[:, -1]
 
 
-def _candidate_arrays(Bs: np.ndarray) -> list:
-    """Candidate minimizers for each matrix of the stack Bs (shape (k, n, n)):
-    one (values, witnesses) array pair per matrix, in scan order: vertices
-    first, then interior stationary points of each support, by increasing
-    cardinality with supports lexicographic.
+def _candidate_arrays(Bs: np.ndarray) -> tuple:
+    """Candidate minimizers of the stack Bs (shape (k, n, n)) as three flat
+    arrays (owner, values, witnesses): each candidate's matrix, its value and
+    its witness.  Each matrix's candidates come in scan order, interleaved
+    with the other matrices': vertices first, then interior stationary points
+    of each support, by increasing cardinality with supports lexicographic.
 
     Each cardinality class of the whole stack is solved as one stacked KKT
     system.  Only the supports whose solution is strictly interior are then
@@ -155,17 +156,11 @@ def _candidate_arrays(Bs: np.ndarray) -> list:
         owner, support = np.divmod(rows, m)
         xs = sols[rows]
         picked = np.zeros((len(rows), n))
-        np.put_along_axis(picked, combos[support], xs, axis=1)
+        picked[np.arange(len(rows))[:, None], combos[support]] = xs
         owners.append(owner)
         values.append(_quadratic_values(xs, subs[rows], owner, k))
         witnesses.append(picked)
-    # group by matrix; the stable sort keeps each matrix's scan order
-    owner = np.concatenate(owners)
-    order = np.argsort(owner, kind="stable")
-    values = np.concatenate(values)[order]
-    witnesses = np.concatenate(witnesses)[order]
-    ends = np.cumsum(np.bincount(owner, minlength=k)).tolist()
-    return [(values[a:b], witnesses[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+    return np.concatenate(owners), np.concatenate(values), np.concatenate(witnesses)
 
 
 def _exact_block_limit(max_blocks: int | None) -> int:
@@ -175,33 +170,40 @@ def _exact_block_limit(max_blocks: int | None) -> int:
     return max(1, int(math.floor(math.log2(budget))))
 
 
-def _certified_stack(Bs: np.ndarray, max_blocks: int | None = None) -> list:
-    """Guard and select for the stack Bs (shape (k, n, n)): one
-    (certificate, values, witnesses) triple per matrix, after checking n
-    against the exact-solver block limit.
+def _certified_stack(Bs: np.ndarray, max_blocks: int | None = None) -> tuple:
+    """Guard and select for the stack Bs (shape (k, n, n)), after checking n
+    against the exact-solver block limit: (owner, values, witnesses) as from
+    _candidate_arrays but grouped by matrix, and best, the row of each
+    matrix's certificate, which is its first candidate of least value in scan
+    order.
 
     A matrix with a zero diagonal entry has d* = 0; its candidates are its
     zero-diagonal vertices and no support is enumerated.  The others go
-    through _candidate_arrays together.  The certificate is the first
-    candidate of least value, in scan order."""
+    through _candidate_arrays together."""
     k, n, _ = Bs.shape
     max_blocks = _exact_block_limit(max_blocks)
     if n > max_blocks:
         raise BudgetExceededError(f"{n} blocks exceed the exact-solver limit of {max_blocks}")
     diags = np.diagonal(Bs, axis1=1, axis2=2)
-    live = np.all(diags != 0.0, axis=1)
-    found = iter(_candidate_arrays(Bs[live]) if np.any(live) else ())
-    out = []
-    for diag, is_live in zip(diags, live):
-        if is_live:
-            vals, xs = next(found)
-        else:
-            xs = np.eye(n)[diag == 0.0]
-            vals = np.zeros(len(xs))
-        i = int(np.argmin(vals))
-        cert = LocalDensityCertificate(float(vals[i]), xs[i], "exact_support_enumeration", 0.0)
-        out.append((cert, vals, xs))
-    return out
+    live = np.flatnonzero(np.all(diags != 0.0, axis=1))
+    dead, vertex = np.nonzero(diags == 0.0)
+    owner, values, witnesses = _candidate_arrays(Bs[live])
+    owner = np.concatenate([live[owner], dead])
+    # group by matrix; the stable sort keeps each matrix's scan order
+    order = np.argsort(owner, kind="stable")
+    owner = owner[order]
+    values = np.concatenate([values, np.zeros(len(dead))])[order]
+    witnesses = np.concatenate([witnesses, np.eye(n)[vertex]])[order]
+    # every matrix has a candidate (its vertices), so each segment is non-empty
+    matrices = np.arange(k)
+    lows = np.minimum.reduceat(values, np.searchsorted(owner, matrices))
+    hits = np.flatnonzero(values == lows[owner])
+    best = hits[np.searchsorted(owner[hits], matrices)]
+    return owner, values, witnesses, best
+
+
+def _certificate(values: np.ndarray, witnesses: np.ndarray, row: int) -> LocalDensityCertificate:
+    return LocalDensityCertificate(float(values[row]), witnesses[row], "exact_support_enumeration", 0.0)
 
 
 def local_density_exact(W: StepGraphon, max_blocks: int | None = None) -> LocalDensityCertificate:
@@ -210,8 +212,8 @@ def local_density_exact(W: StepGraphon, max_blocks: int | None = None) -> LocalD
     Deterministic: supports are scanned by cardinality then lexicographically,
     and ties keep the first witness found.
     """
-    ((cert, _, _),) = _certified_stack(W.values[None], max_blocks)
-    return cert
+    _, values, witnesses, best = _certified_stack(W.values[None], max_blocks)
+    return _certificate(values, witnesses, int(best[0]))
 
 
 def local_density_subgradient(W: StepGraphon, tie_tol: float = 1e-10):
@@ -224,34 +226,49 @@ def local_density_subgradient(W: StepGraphon, tie_tol: float = 1e-10):
     return local_density_subgradients(W.values[None], tie_tol)[0]
 
 
+def _averaged_outer(xs: np.ndarray) -> np.ndarray:
+    """Mean of x x^T over the distinct rows x of xs (rows equal after
+    rounding to 10 digits count once), summed in row order."""
+    witnesses = []
+    seen = set()
+    for x in xs:
+        key = tuple(np.round(x, 10))
+        if key not in seen:
+            seen.add(key)
+            witnesses.append(x)
+    P = np.zeros((xs.shape[1], xs.shape[1]))
+    for x in witnesses:
+        P += np.outer(x, x)
+    P /= len(witnesses)
+    return P
+
+
 def local_density_subgradients(Bs, tie_tol: float = 1e-10) -> list:
     """local_density_subgradient for each value matrix of the stack Bs
     (shape (k, n, n)): a list of (P, certificate) pairs, bit for bit those of
     the one-graphon calls.  All matrices go through the support enumeration
     together.  The matrices are not validated: each must be symmetric with
-    entries in [0, 1], as StepGraphon values are."""
+    entries in [0, 1], as StepGraphon values are.
+
+    The tie set of a matrix is its candidates within tie_tol of the optimum
+    (at a zero diagonal, all the zero-diagonal vertices).  Most matrices have
+    one, the certificate's witness x, and P = x x^T for all of them at once:
+    the same bits as averaging one outer product.  Real tie sets go through
+    _averaged_outer one matrix at a time."""
     Bs = np.asarray(Bs, dtype=float)
     if Bs.ndim != 3 or Bs.shape[1] != Bs.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {Bs.shape}")
     if not (math.isfinite(tie_tol) and tie_tol >= 0.0):
         raise ValueError(f"tie_tol must be finite and non-negative, got {tie_tol!r}")
-    out = []
-    for cert, vals, xs in _certified_stack(Bs):
-        # distinct witnesses within tie_tol of the optimum; at a zero diagonal
-        # these are all the zero-diagonal vertices
-        witnesses = []
-        seen = set()
-        for j in np.nonzero(vals <= cert.d_star + tie_tol)[0]:
-            key = tuple(np.round(xs[j], 10))
-            if key not in seen:
-                seen.add(key)
-                witnesses.append(xs[j])
-        P = np.zeros(Bs.shape[1:])
-        for x in witnesses:
-            P += np.outer(x, x)
-        P /= len(witnesses)
-        out.append((P, cert))
-    return out
+    k = len(Bs)
+    owner, values, witnesses, best = _certified_stack(Bs)
+    tied = values <= values[best][owner] + tie_tol
+    ties = np.bincount(owner[tied], minlength=k)
+    x = witnesses[best]
+    P = x[:, :, None] * x[:, None, :]
+    for j in np.flatnonzero(ties > 1).tolist():
+        P[j] = _averaged_outer(witnesses[tied & (owner == j)])
+    return [(P[j], _certificate(values, witnesses, row)) for j, row in enumerate(best.tolist())]
 
 
 def _pgd(B: np.ndarray, x0: np.ndarray):

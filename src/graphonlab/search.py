@@ -18,14 +18,24 @@ flag, not which value wins.
 
 Each gradient step backtracks along eta = 1, 1/2, 1/4, ... (Armijo).  The
 local densities of the trial points, the dominant cost, are solved in
-batches: eta = 1 alone first, then the remaining steps LADDER_BLOCK at a time
-as one stack through local_density_subgradients.  The block is then walked in
-order, the objective evaluated per step, and the first step the sequential
-sufficient-decrease rule accepts is taken, so the accepted eta, and with it the
-whole search path, is exactly that of trying one step at a time; solves past
-the accepted step are the price of batching.  Trial graphons skip the
-StepGraphon checks (their values are symmetric and clipped by construction);
-the reported best graphon is rebuilt and re-verified in full.
+batches: eta = 1 alone first, then the remaining steps LADDER_BLOCK at a time.
+The block is walked in order, the objective evaluated per step, and the first
+step the sequential sufficient-decrease rule accepts is taken, so the accepted
+eta, and with it the whole search path, is exactly that of trying one step at
+a time; solves past the accepted step are the price of batching.  Trial
+graphons skip the StepGraphon checks (their values are symmetric and clipped
+by construction); the reported best graphon is rebuilt and re-verified in
+full.
+
+The starts are independent, so they run in lockstep.  Each start is a
+generator (_start_path) that yields the stack it needs solved next (its start
+point, an eta = 1 trial or a ladder block); each round, _lockstep solves the
+pending stacks of all live starts as one local_density_subgradients call and
+sends every start its own slice.  A start leaves the round when its own rules
+end it.  The solver treats each matrix on its own, so every start's path is
+bit for bit the one it takes alone, and the per-start bests are merged in
+start order with the same strict comparisons, so ties go to the earlier start
+as in a one-by-one run.
 """
 
 from __future__ import annotations
@@ -33,12 +43,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 
 from .density import grad_hom_density, hom_density, per_entry_gradient
 from .graphs import Graph, subdivide
-from .localdensity import local_density_subgradient, local_density_subgradients
+from .localdensity import local_density_exact, local_density_subgradients
 from .operators import path_power
 from .stepgraphon import StepGraphon, _random_symmetric, _unchecked_graphon, graphon_to_json
 
@@ -127,6 +138,140 @@ def _restore_feasibility(B: np.ndarray, d_star: float, d: float) -> np.ndarray:
     return (1.0 - t) * B + t * np.ones_like(B)
 
 
+class _StartOutcome(NamedTuple):
+    """What one start of the penalty search found.  best and best_near are
+    (value, start_index, B, residual) tuples: the best certified-feasible
+    point and the best point with 0 < residual <= FEASIBILITY_TOL, each the
+    first of least value; best_infeasible is (residual, start_index, B,
+    value), the first point of least residual."""
+
+    best: tuple | None
+    best_near: tuple | None
+    best_infeasible: tuple
+    near_seen: bool
+    trajectory: list
+    final: np.ndarray
+
+
+def _start_path(start_index: int, B0: np.ndarray, value_fn, grad_fn, d: float, cfg: SearchConfig):
+    """One start of the penalty search as a generator.  It yields each stack
+    of value matrices whose local densities it needs (its start point, then
+    each eta = 1 trial and each further block of the Armijo ladder), is sent
+    back their local_density_subgradients pairs, and returns its
+    _StartOutcome."""
+    n = len(B0)
+    mu = np.full(n, 1.0 / n)
+    best = None
+    best_near = None
+    best_infeasible = None
+    near_seen = False
+
+    def track(value, B, residual):
+        nonlocal best, best_near, best_infeasible, near_seen
+        if residual == 0.0:
+            if best is None or value < best[0]:
+                best = (value, start_index, B.copy(), residual)
+        elif residual <= FEASIBILITY_TOL:
+            near_seen = True
+            if best_near is None or value < best_near[0]:
+                best_near = (value, start_index, B.copy(), residual)
+        if best_infeasible is None or residual < best_infeasible[0]:
+            best_infeasible = (residual, start_index, B.copy(), value)
+
+    B = np.clip((B0 + B0.T) / 2.0, 0.0, 1.0)
+    trajectory = []
+    global_iter = 0
+
+    W = StepGraphon(B, mu)
+    value = value_fn(W)
+    ((P, cert),) = yield W.values[None]
+    residual = max(0.0, d - cert.d_star)
+    for lam in cfg.lambda_schedule:
+        stalled = 0
+        for _ in range(cfg.inner_iterations):
+            penalized = value + lam * residual**2
+            track(value, B, residual)
+            if global_iter % LOG_EVERY == 0:
+                trajectory.append((global_iter, penalized, residual))
+            E = grad_fn(W)
+            if residual > 0.0:
+                E = E - 2.0 * lam * residual * P
+            mapped = np.clip(B - E, 0.0, 1.0)
+            if float(np.linalg.norm(B - mapped)) <= STATIONARITY_TOL:
+                break
+            accepted = None
+            for etas in ARMIJO_LADDER:
+                trials = np.clip(B - etas[:, None, None] * E, 0.0, 1.0)
+                solved = yield trials
+                for eta, Bn, (Pn, cert) in zip(etas, trials, solved):
+                    # symmetric and clipped by construction, so the
+                    # constructor's checks would change nothing
+                    Wn = _unchecked_graphon(Bn, mu)
+                    vn = value_fn(Wn)
+                    rn = max(0.0, d - cert.d_star)
+                    fn = vn + lam * rn**2
+                    step = Bn - B
+                    # strict decrease required: once the sufficient-decrease
+                    # term rounds to zero, a plain <= would accept ties forever
+                    if fn < penalized and fn <= penalized - (
+                        ARMIJO_SIGMA / eta
+                    ) * float(np.sum(step * step)):
+                        accepted = (Bn, Wn, vn, Pn, rn)
+                        break
+                if accepted is not None:
+                    break
+            if accepted is None:
+                break
+            B, W, value, P, residual = accepted
+            global_iter += 1
+            # give up on this penalty level once accepted steps stop
+            # making measurable progress; the cap alone would burn the
+            # remaining iterations crawling at the 12th digit
+            if penalized - (value + lam * residual**2) <= PROGRESS_TOL:
+                stalled += 1
+                if stalled >= STALL_ITERATIONS:
+                    break
+            else:
+                stalled = 0
+
+    # final iterate of this start (the loop tracks before stepping, not after)
+    track(value, B, residual)
+    trajectory.append((global_iter, value + cfg.lambda_schedule[-1] * residual**2, residual))
+    return _StartOutcome(best, best_near, best_infeasible, near_seen, trajectory, B)
+
+
+def _lockstep(paths: list) -> list:
+    """Run the _start_path generators together; their outcomes, in order.
+
+    Each round concatenates the pending stacks of every live start into one
+    local_density_subgradients call and sends each start its own slice.  A
+    start leaves when its own rules end it.  The solver treats each matrix
+    on its own, so every start takes, bit for bit, the path it takes alone."""
+    outcomes = [None] * len(paths)
+    pending = [(i, next(path)) for i, path in enumerate(paths)]
+    while pending:
+        solved = local_density_subgradients(np.concatenate([stack for _, stack in pending]))
+        live = []
+        at = 0
+        for i, stack in pending:
+            try:
+                live.append((i, paths[i].send(solved[at : at + len(stack)])))
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+            at += len(stack)
+        pending = live
+    return outcomes
+
+
+def _first_least(points):
+    """Of the per-start bests, in start order, the first with the least
+    leading entry (None if there are none): min keeps the earliest of equal
+    keys, as the strict < of _start_path does, so ties go to the earlier
+    start as if the starts had run one by one."""
+    points = [p for p in points if p is not None]
+    return min(points, key=lambda p: p[0]) if points else None
+
+
 def _penalty_search(
     value_fn,
     grad_fn,
@@ -152,95 +297,21 @@ def _penalty_search(
         starts.append(np.full((n, n), d))
     while len(starts) < cfg.starts:
         starts.append(_random_symmetric(rng, n))
+    outcomes = _lockstep(
+        [_start_path(i, B0, value_fn, grad_fn, d, cfg) for i, B0 in enumerate(starts)]
+    )
 
-    def evaluate(Bmat):
-        W = StepGraphon(Bmat, mu)
-        value = value_fn(W)
-        P, cert = local_density_subgradient(W)
-        residual = max(0.0, d - cert.d_star)
-        return W, value, P, residual
-
-    best = None  # (value, start_index, B, residual), certified feasible only
-    best_near = None  # same shape, 0 < residual <= tol, restored at the end
-    best_infeasible = None  # (residual, start_index, B, value)
-    near_seen = False
-    trajectories = []
-
-    def track(value, start_index, B, residual):
-        nonlocal best, best_near, best_infeasible, near_seen
-        if residual == 0.0:
-            if best is None or value < best[0]:
-                best = (value, start_index, B.copy(), residual)
-        elif residual <= FEASIBILITY_TOL:
-            near_seen = True
-            if best_near is None or value < best_near[0]:
-                best_near = (value, start_index, B.copy(), residual)
-        if best_infeasible is None or residual < best_infeasible[0]:
-            best_infeasible = (residual, start_index, B.copy(), value)
-
-    for start_index, B0 in enumerate(starts):
-        B = np.clip((B0 + B0.T) / 2.0, 0.0, 1.0)
-        trajectory = []
-        global_iter = 0
-
-        W, value, P, residual = evaluate(B)
-        for lam in cfg.lambda_schedule:
-            stalled = 0
-            for _ in range(cfg.inner_iterations):
-                penalized = value + lam * residual**2
-                track(value, start_index, B, residual)
-                if global_iter % LOG_EVERY == 0:
-                    trajectory.append((global_iter, penalized, residual))
-                E = grad_fn(W)
-                if residual > 0.0:
-                    E = E - 2.0 * lam * residual * P
-                mapped = np.clip(B - E, 0.0, 1.0)
-                if float(np.linalg.norm(B - mapped)) <= STATIONARITY_TOL:
-                    break
-                accepted = None
-                for etas in ARMIJO_LADDER:
-                    trials = np.clip(B - etas[:, None, None] * E, 0.0, 1.0)
-                    solved = local_density_subgradients(trials)
-                    for eta, Bn, (Pn, cert) in zip(etas, trials, solved):
-                        # symmetric and clipped by construction, so the
-                        # constructor's checks would change nothing
-                        Wn = _unchecked_graphon(Bn, mu)
-                        vn = value_fn(Wn)
-                        rn = max(0.0, d - cert.d_star)
-                        fn = vn + lam * rn**2
-                        step = Bn - B
-                        # strict decrease required: once the sufficient-decrease
-                        # term rounds to zero, a plain <= would accept ties forever
-                        if fn < penalized and fn <= penalized - (
-                            ARMIJO_SIGMA / eta
-                        ) * float(np.sum(step * step)):
-                            accepted = (Bn, Wn, vn, Pn, rn)
-                            break
-                    if accepted is not None:
-                        break
-                if accepted is None:
-                    break
-                B, W, value, P, residual = accepted
-                global_iter += 1
-                # give up on this penalty level once accepted steps stop
-                # making measurable progress; the cap alone would burn the
-                # remaining iterations crawling at the 12th digit
-                if penalized - (value + lam * residual**2) <= PROGRESS_TOL:
-                    stalled += 1
-                    if stalled >= STALL_ITERATIONS:
-                        break
-                else:
-                    stalled = 0
-
-        # final iterate of this start (the loop tracks before stepping, not after)
-        track(value, start_index, B, residual)
-        trajectory.append((global_iter, value + cfg.lambda_schedule[-1] * residual**2, residual))
-        trajectories.append(trajectory)
+    best = _first_least(outcome.best for outcome in outcomes)
+    best_near = _first_least(outcome.best_near for outcome in outcomes)
+    best_infeasible = _first_least(outcome.best_infeasible for outcome in outcomes)
+    near_seen = any(outcome.near_seen for outcome in outcomes)
 
     if best_near is not None:
         value, start_index, B, residual = best_near
         restored = _restore_feasibility(B, d - residual, d)
-        _, vr, _, rr = evaluate(restored)
+        W = StepGraphon(restored, mu)
+        vr = value_fn(W)
+        rr = max(0.0, d - local_density_exact(W).d_star)
         if rr == 0.0 and (best is None or vr < best[0]):
             best = (vr, start_index, restored, rr)
 
@@ -266,7 +337,7 @@ def _penalty_search(
         constraint_residual=residual,
         bound=bound,
         best_ratio=verified / bound,
-        trajectory=trajectories[start_index],
+        trajectory=outcomes[start_index].trajectory,
         seed=seed,
         config=config_echo,
         feasible=feasible,

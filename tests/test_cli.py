@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from graphonlab import StepGraphon, constant, save_graphon
+from graphonlab import stepgraphon as sg
 from graphonlab.cli import cli, parse_graphon, parse_pattern
 from graphonlab.search import SearchResult
 from graphonlab.verify import VerificationReport
@@ -54,6 +55,29 @@ def test_parse_graphon_forms(tmp_path):
     ):
         with pytest.raises(ValueError):
             parse_graphon(bad)
+
+
+@pytest.mark.parametrize(
+    "spec", ["const:0.5:100000", "random:100000:1", "regular:100000:0.5:1", "dense:100000:0.5:1"]
+)
+def test_oversized_graphon_spec_exit_3_before_allocating(runner, spec, monkeypatch):
+    # the n * n cell count is checked before any generator runs
+    for name in ("constant", "gen_random", "gen_regular", "gen_pointwise_dense"):
+        monkeypatch.setattr(sg, name, lambda *args: pytest.fail(f"{spec} reached a generator"))
+    res = runner.invoke(cli, ["density", "--pattern", "clique:3", "--graphon", spec])
+    assert res.exit_code == 3, res.output
+    assert res.stderr.splitlines() == [
+        "error: 100000 blocks make 10000000000 cells, beyond the budget of 1e+07"
+    ]
+    assert res.stdout == ""
+    # GRAPHONLAB_BUDGET moves the limit: 3 blocks are 9 cells
+    small = spec.replace("100000", "3")
+    res = runner.invoke(
+        cli,
+        ["density", "--pattern", "clique:3", "--graphon", small],
+        env={"GRAPHONLAB_BUDGET": "8"},
+    )
+    assert res.exit_code == 3, res.output
 
 
 # --- density ---------------------------------------------------------------------

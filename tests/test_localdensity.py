@@ -247,6 +247,66 @@ def test_stacked_subgradients_match_single_calls_bitwise(n):
     _assert_same(local_density_subgradients(np.array(Bs[3:4]))[0], singles[3])
 
 
+def _looped_subgradients(Bs, tie_tol=1e-10):
+    """local_density_subgradients as it was before the assembly was
+    vectorised: the argmin, the tie set, the rounding-key set and the outer
+    products one matrix at a time.  (P, d*, witness, distinct tied witnesses)
+    per matrix.  Test oracle only."""
+    k, n, _ = Bs.shape
+    live = np.flatnonzero(np.all(np.diagonal(Bs, axis1=1, axis2=2) != 0.0, axis=1))
+    owner, values, witnesses = localdensity._candidate_arrays(Bs[live])
+    out = []
+    for j, B in enumerate(Bs):
+        if j in live:
+            mine = owner == np.searchsorted(live, j)
+            vals, xs = values[mine], witnesses[mine]
+        else:
+            xs = np.eye(n)[np.diag(B) == 0.0]
+            vals = np.zeros(len(xs))
+        i = int(np.argmin(vals))
+        d_star = float(vals[i])
+        tied = []
+        seen = set()
+        for t in np.nonzero(vals <= d_star + tie_tol)[0]:
+            key = tuple(np.round(xs[t], 10))
+            if key not in seen:
+                seen.add(key)
+                tied.append(xs[t])
+        P = np.zeros((n, n))
+        for x in tied:
+            P += np.outer(x, x)
+        P /= len(tied)
+        out.append((P, d_star, xs[i], len(tied)))
+    return out
+
+
+def _many_ties(rng, n, diagonal=0.6, edge=0.2):
+    """Values edge between the halves, 0.9 within a half off the diagonal,
+    and jitter of 1e-13: every cross pair's interior point ties within 1e-10,
+    so one tie set has about n^2 / 4 witnesses that share coordinates."""
+    half = n // 2
+    B = np.full((n, n), 0.9)
+    B[:half, half:] = B[half:, :half] = edge
+    np.fill_diagonal(B, diagonal)
+    return B + _symmetric(rng.choice([-1e-13, 0.0, 1e-13], size=(n, n)))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_vectorised_assembly_matches_loop_bitwise(n):
+    rng = np.random.default_rng(200 + n)
+    Bs = np.array(_stack_inputs(rng, n) + list(_oracle_inputs(rng, n)) + [_many_ties(rng, n)])
+    want = _looped_subgradients(Bs)
+    got = local_density_subgradients(Bs)
+    assert len(got) == len(want)
+    for (P, cert), (P_want, d_star, witness, _) in zip(got, want):
+        assert np.array_equal(P, P_want)
+        assert cert.d_star == d_star
+        assert np.array_equal(cert.witness, witness)
+    # both paths ran: unique minimizers and real tie sets
+    tie_sizes = [size for *_, size in want]
+    assert 1 in tie_sizes and max(tie_sizes) > 1
+
+
 def test_stacked_subgradients_reject_non_stacks():
     for shape in ((3, 3), (2, 3, 4)):
         with pytest.raises(ValueError):
@@ -338,12 +398,7 @@ def _cond_first_candidate_arrays(Bs):
         owners.append(owner)
         values.append(localdensity._quadratic_values(xs, subs[rows], owner, k))
         witnesses.append(picked)
-    owner = np.concatenate(owners)
-    order = np.argsort(owner, kind="stable")
-    values = np.concatenate(values)[order]
-    witnesses = np.concatenate(witnesses)[order]
-    ends = np.cumsum(np.bincount(owner, minlength=k)).tolist()
-    return [(values[a:b], witnesses[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+    return np.concatenate(owners), np.concatenate(values), np.concatenate(witnesses)
 
 
 def _oracle_inputs(rng, n):
@@ -369,10 +424,9 @@ def test_solve_then_gate_matches_cond_first_oracle(n, monkeypatch):
     Bs = _oracle_inputs(np.random.default_rng(300 + n), n)
     got = localdensity._candidate_arrays(Bs)
     want = _cond_first_candidate_arrays(Bs)
-    assert len(got) == len(want) == len(Bs)
-    for (values, witnesses), (want_values, want_witnesses) in zip(got, want):
-        assert np.array_equal(values, want_values)
-        assert np.array_equal(witnesses, want_witnesses)
+    assert np.array_equal(np.unique(got[0]), np.arange(len(Bs)))
+    for got_array, want_array in zip(got, want, strict=True):
+        assert np.array_equal(got_array, want_array)
     # the duplicated block makes exactly singular systems: the det mask ran
     assert sum(masked) > 0
 

@@ -17,6 +17,7 @@ from graphonlab import (
     result_to_json_text,
     subdivide,
 )
+from graphonlab import search
 from graphonlab.search import _restore_feasibility
 
 # deliberately small: the unit tests here exercise plumbing, not convergence
@@ -192,3 +193,70 @@ def test_probe_search_path_is_pinned():
     result = probe_even_subdivision(clique(3), 1, 0.5, 3, PATH_CONFIG, seed=0)
     expected = (SEARCH_PATHS / "probe_K3_k1_d0.5_n3.json").read_text()
     assert result_to_json_text(result) == expected
+
+
+# Four starts with the constant start first: d J has exactly singular KKT
+# systems, so the first stacked solve takes the determinant fallback with
+# random starts in the same stack.
+LOCKSTEP_CONFIG = SearchConfig(starts=4, inner_iterations=8)
+LOCKSTEP_RUNS = {
+    "K2-n3": lambda cfg: minimize_hom_density(clique(2), 0.5, 3, cfg, seed=0),
+    "K2-n4": lambda cfg: minimize_hom_density(clique(2), 0.2, 4, cfg, seed=0),
+    "K3-n3": lambda cfg: minimize_hom_density(clique(3), 0.2, 3, cfg, seed=0),
+    "K3-n4": lambda cfg: minimize_hom_density(clique(3), 0.5, 4, cfg, seed=0),
+    "probe-K3-k1-n3": lambda cfg: probe_even_subdivision(clique(3), 1, 0.5, 3, cfg, seed=0),
+}
+
+
+def _assert_same_outcome(got, want):
+    for field in ("best", "best_near", "best_infeasible"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a is None) == (b is None), field
+        if a is not None:
+            assert (a[0], a[1], a[3]) == (b[0], b[1], b[3]), field
+            assert np.array_equal(a[2], b[2]), field
+    assert got.near_seen == want.near_seen
+    assert got.trajectory == want.trajectory
+    assert np.array_equal(got.final, want.final)
+
+
+@pytest.mark.parametrize("run", LOCKSTEP_RUNS.values(), ids=LOCKSTEP_RUNS.keys())
+def test_lockstep_starts_match_lone_runs(run, monkeypatch):
+    # record each start's generator arguments, the lockstep outcomes, every
+    # stack the search solves and every determinant fallback
+    path_args, outcomes, stacks, dets = [], [], [], []
+    start_path, lockstep = search._start_path, search._lockstep
+    solve, det = search.local_density_subgradients, np.linalg.det
+
+    def recording_path(*args):
+        path_args.append(args)
+        return start_path(*args)
+
+    def recording_lockstep(paths):
+        outcomes.extend(lockstep(paths))
+        return list(outcomes)
+
+    def recording_solve(Bs):
+        stacks.append(np.array(Bs))
+        return solve(Bs)
+
+    def recording_det(a):
+        dets.append(len(a))
+        return det(a)
+
+    monkeypatch.setattr(search, "_start_path", recording_path)
+    monkeypatch.setattr(search, "_lockstep", recording_lockstep)
+    monkeypatch.setattr(search, "local_density_subgradients", recording_solve)
+    monkeypatch.setattr(np.linalg, "det", recording_det)
+    run(LOCKSTEP_CONFIG)
+    monkeypatch.undo()
+
+    assert len(path_args) == len(outcomes) == LOCKSTEP_CONFIG.starts
+    assert np.array_equal(path_args[0][1], np.full_like(path_args[0][1], path_args[0][4]))
+    # the first solve stacks every start's initial point, in start order
+    initial = [np.clip((args[1] + args[1].T) / 2.0, 0.0, 1.0) for args in path_args]
+    assert np.array_equal(stacks[0], np.array(initial))
+    assert dets
+    for args, together in zip(path_args, outcomes):
+        (alone,) = search._lockstep([search._start_path(*args)])
+        _assert_same_outcome(together, alone)
