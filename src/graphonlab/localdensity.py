@@ -256,8 +256,8 @@ def local_density_subgradients(Bs, tie_tol: float = 1e-10) -> list:
     the same bits as averaging one outer product.  Real tie sets go through
     _averaged_outer one matrix at a time."""
     Bs = np.asarray(Bs, dtype=float)
-    if Bs.ndim != 3 or Bs.shape[1] != Bs.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {Bs.shape}")
+    if Bs.ndim != 3 or Bs.shape[1] != Bs.shape[2] or Bs.shape[1] < 1:
+        raise ValueError(f"expected a stack of non-empty square matrices, got shape {Bs.shape}")
     if not (math.isfinite(tie_tol) and tie_tol >= 0.0):
         raise ValueError(f"tie_tol must be finite and non-negative, got {tie_tol!r}")
     k = len(Bs)

@@ -33,9 +33,9 @@ point, an eta = 1 trial or a ladder block); each round, _lockstep solves the
 pending stacks of all live starts as one local_density_subgradients call and
 sends every start its own slice.  A start leaves the round when its own rules
 end it.  The solver treats each matrix on its own, so every start's path is
-bit for bit the one it takes alone, and the per-start bests are merged in
-start order with the same strict comparisons, so ties go to the earlier start
-as in a one-by-one run.
+bit for bit the one it takes alone.  All starts track their points in one
+_Bests record, which ranks them by (value, start), so a tie goes to the
+earlier start as in a one-by-one run.
 """
 
 from __future__ import annotations
@@ -43,15 +43,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
-from typing import NamedTuple
 
 import numpy as np
 
 from .density import grad_hom_density, hom_density, per_entry_gradient
-from .graphs import Graph, subdivide
+from .graphs import Graph, graph_to_json, subdivide
 from .localdensity import local_density_exact, local_density_subgradients
 from .operators import path_power
-from .stepgraphon import StepGraphon, _random_symmetric, _unchecked_graphon, graphon_to_json
+from .stepgraphon import (
+    StepGraphon, _random_symmetric, _unchecked_graphon, _uniform_measures, graphon_to_json
+)
 
 LAMBDA_SCHEDULE = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 # Backtracking steps solved per batch after eta = 1.  On the benchmark's
@@ -138,46 +139,36 @@ def _restore_feasibility(B: np.ndarray, d_star: float, d: float) -> np.ndarray:
     return (1.0 - t) * B + t * np.ones_like(B)
 
 
-class _StartOutcome(NamedTuple):
-    """What one start of the penalty search found.  best and best_near are
-    (value, start_index, B, residual) tuples: the best certified-feasible
-    point and the best point with 0 < residual <= FEASIBILITY_TOL, each the
-    first of least value; best_infeasible is (residual, start_index, B,
-    value), the first point of least residual."""
+class _Bests:
+    """The best points of one search, tracked by all of its starts: best of
+    least value with residual 0, near of least value with 0 < residual <=
+    FEASIBILITY_TOL, each as (value, start, B, residual), and least of least
+    residual, as (residual, start, B, value).  The key (value or residual,
+    start) and a strict < give a tie to the earlier start and, within a
+    start, to the earlier point, whatever order lockstep tracks them in."""
 
-    best: tuple | None
-    best_near: tuple | None
-    best_infeasible: tuple
-    near_seen: bool
-    trajectory: list
-    final: np.ndarray
+    def __init__(self):
+        self.best = self.near = self.least = None
+
+    def track(self, start: int, value: float, B: np.ndarray, residual: float) -> None:
+        if residual == 0.0:
+            if self.best is None or (value, start) < self.best[:2]:
+                self.best = (value, start, B.copy(), residual)
+        elif residual <= FEASIBILITY_TOL:
+            if self.near is None or (value, start) < self.near[:2]:
+                self.near = (value, start, B.copy(), residual)
+        if self.least is None or (residual, start) < self.least[:2]:
+            self.least = (residual, start, B.copy(), value)
 
 
-def _start_path(start_index: int, B0: np.ndarray, value_fn, grad_fn, d: float, cfg: SearchConfig):
+def _start_path(start: int, B0: np.ndarray, value_fn, grad_fn, d: float, cfg: SearchConfig, bests):
     """One start of the penalty search as a generator.  It yields each stack
     of value matrices whose local densities it needs (its start point, then
     each eta = 1 trial and each further block of the Armijo ladder), is sent
-    back their local_density_subgradients pairs, and returns its
-    _StartOutcome."""
+    back their local_density_subgradients pairs, tracks every point it visits
+    in bests, and returns its trajectory."""
     n = len(B0)
-    mu = np.full(n, 1.0 / n)
-    best = None
-    best_near = None
-    best_infeasible = None
-    near_seen = False
-
-    def track(value, B, residual):
-        nonlocal best, best_near, best_infeasible, near_seen
-        if residual == 0.0:
-            if best is None or value < best[0]:
-                best = (value, start_index, B.copy(), residual)
-        elif residual <= FEASIBILITY_TOL:
-            near_seen = True
-            if best_near is None or value < best_near[0]:
-                best_near = (value, start_index, B.copy(), residual)
-        if best_infeasible is None or residual < best_infeasible[0]:
-            best_infeasible = (residual, start_index, B.copy(), value)
-
+    mu = _uniform_measures(n)
     B = np.clip((B0 + B0.T) / 2.0, 0.0, 1.0)
     trajectory = []
     global_iter = 0
@@ -190,7 +181,7 @@ def _start_path(start_index: int, B0: np.ndarray, value_fn, grad_fn, d: float, c
         stalled = 0
         for _ in range(cfg.inner_iterations):
             penalized = value + lam * residual**2
-            track(value, B, residual)
+            bests.track(start, value, B, residual)
             if global_iter % LOG_EVERY == 0:
                 trajectory.append((global_iter, penalized, residual))
             E = grad_fn(W)
@@ -235,19 +226,19 @@ def _start_path(start_index: int, B0: np.ndarray, value_fn, grad_fn, d: float, c
                 stalled = 0
 
     # final iterate of this start (the loop tracks before stepping, not after)
-    track(value, B, residual)
+    bests.track(start, value, B, residual)
     trajectory.append((global_iter, value + cfg.lambda_schedule[-1] * residual**2, residual))
-    return _StartOutcome(best, best_near, best_infeasible, near_seen, trajectory, B)
+    return trajectory
 
 
 def _lockstep(paths: list) -> list:
-    """Run the _start_path generators together; their outcomes, in order.
+    """Run the _start_path generators together; their trajectories, in order.
 
     Each round concatenates the pending stacks of every live start into one
     local_density_subgradients call and sends each start its own slice.  A
     start leaves when its own rules end it.  The solver treats each matrix
     on its own, so every start takes, bit for bit, the path it takes alone."""
-    outcomes = [None] * len(paths)
+    trajectories = [None] * len(paths)
     pending = [(i, next(path)) for i, path in enumerate(paths)]
     while pending:
         solved = local_density_subgradients(np.concatenate([stack for _, stack in pending]))
@@ -257,22 +248,15 @@ def _lockstep(paths: list) -> list:
             try:
                 live.append((i, paths[i].send(solved[at : at + len(stack)])))
             except StopIteration as stop:
-                outcomes[i] = stop.value
+                trajectories[i] = stop.value
             at += len(stack)
         pending = live
-    return outcomes
-
-
-def _first_least(points):
-    """Of the per-start bests, in start order, the first with the least
-    leading entry (None if there are none): min keeps the earliest of equal
-    keys, as the strict < of _start_path does, so ties go to the earlier
-    start as if the starts had run one by one."""
-    points = [p for p in points if p is not None]
-    return min(points, key=lambda p: p[0]) if points else None
+    return trajectories
 
 
 def _penalty_search(
+    task: dict,
+    H: Graph,
     value_fn,
     grad_fn,
     verify_fn,
@@ -281,15 +265,21 @@ def _penalty_search(
     cfg: SearchConfig,
     seed: int,
     bound: float,
-    config_echo: dict,
     weak_bound: float | None = None,
 ) -> SearchResult:
-    """grad_fn(W) returns the per-entry gradient of value_fn (see per_entry_gradient)."""
+    """grad_fn(W) returns the per-entry gradient of value_fn (see
+    per_entry_gradient).  The result's config echoes task, then the pattern
+    H, d, n and every SearchConfig field."""
     if not 0.0 < d < 1.0:
         raise ValueError("target density must lie in (0, 1)")
     if cfg.starts < 1:
         raise ValueError("need at least one start")
-    mu = np.full(n, 1.0 / n)
+    schedule = cfg.lambda_schedule
+    if len(schedule) == 0 or not all(math.isfinite(lam) and lam >= 0.0 for lam in schedule):
+        raise ValueError("lambda schedule must be a non-empty sequence of finite levels >= 0")
+    if cfg.inner_iterations < 0:
+        raise ValueError("inner_iterations must be non-negative")
+    mu = _uniform_measures(n)
     rng = np.random.default_rng(seed)
 
     starts = []
@@ -297,17 +287,14 @@ def _penalty_search(
         starts.append(np.full((n, n), d))
     while len(starts) < cfg.starts:
         starts.append(_random_symmetric(rng, n))
-    outcomes = _lockstep(
-        [_start_path(i, B0, value_fn, grad_fn, d, cfg) for i, B0 in enumerate(starts)]
+    bests = _Bests()
+    trajectories = _lockstep(
+        [_start_path(i, B0, value_fn, grad_fn, d, cfg, bests) for i, B0 in enumerate(starts)]
     )
 
-    best = _first_least(outcome.best for outcome in outcomes)
-    best_near = _first_least(outcome.best_near for outcome in outcomes)
-    best_infeasible = _first_least(outcome.best_infeasible for outcome in outcomes)
-    near_seen = any(outcome.near_seen for outcome in outcomes)
-
-    if best_near is not None:
-        value, start_index, B, residual = best_near
+    best, near = bests.best, bests.near
+    if near is not None:
+        value, start_index, B, residual = near
         restored = _restore_feasibility(B, d - residual, d)
         W = StepGraphon(restored, mu)
         vr = value_fn(W)
@@ -315,16 +302,13 @@ def _penalty_search(
         if rr == 0.0 and (best is None or vr < best[0]):
             best = (vr, start_index, restored, rr)
 
-    feasible = best is not None or near_seen
-    if best is not None:
-        value, start_index, B, residual = best
-    elif best_near is not None:
-        # restoration failed to certify (possible only by rounding); report the
-        # tolerance-feasible point itself
-        value, start_index, B, residual = best_near
+    feasible = best is not None or near is not None
+    if feasible:
+        # near only when its restoration failed to certify (possible only by
+        # rounding): the tolerance-feasible point itself is reported
+        value, start_index, B, residual = best or near
     else:
-        feasible = False
-        residual, start_index, B, value = best_infeasible
+        residual, start_index, B, value = bests.least
     W = StepGraphon(B, mu)
     verified = verify_fn(W)
     if not math.isclose(verified, value, rel_tol=1e-9, abs_tol=1e-12):
@@ -337,9 +321,9 @@ def _penalty_search(
         constraint_residual=residual,
         bound=bound,
         best_ratio=verified / bound,
-        trajectory=outcomes[start_index].trajectory,
+        trajectory=trajectories[start_index],
         seed=seed,
-        config=config_echo,
+        config={**task, "pattern": graph_to_json(H), "d": float(d), "n": int(n), **asdict(cfg)},
         feasible=feasible,
         weak_bound=weak_bound,
         weak_ratio=None if weak_bound is None else verified / weak_bound,
@@ -353,25 +337,17 @@ def minimize_hom_density(
 
     Returns the best feasible point found (feasible=False and the least
     infeasible point when no start reaches the feasibility tolerance)."""
-    cfg = config or SearchConfig()
-    bound = float(d) ** H.edge_count
-    echo = {
-        "task": "minimize_hom_density",
-        "pattern": {"n": H.vertex_count, "edges": [list(e) for e in H.edge_list]},
-        "d": float(d),
-        "n": int(n),
-        **asdict(cfg),
-    }
     return _penalty_search(
+        task={"task": "minimize_hom_density"},
+        H=H,
         value_fn=lambda W: hom_density(H, W),
         grad_fn=lambda W: per_entry_gradient(grad_hom_density(H, W)),
         verify_fn=lambda W: hom_density(H, W),
         d=d,
         n=n,
-        cfg=cfg,
+        cfg=config or SearchConfig(),
         seed=seed,
-        bound=bound,
-        config_echo=echo,
+        bound=float(d) ** H.edge_count,
     )
 
 
@@ -387,7 +363,6 @@ def probe_even_subdivision(
     constant-factor bound."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    cfg = config or SearchConfig()
     m = 2 * k + 1
     e = H.edge_count
     strong = float(d) ** (m * e)
@@ -414,24 +389,17 @@ def probe_even_subdivision(
             P += c_pow[p - 1] @ Ev @ d_pow[m - p]
         return (P + P.T) / 2.0
 
-    echo = {
-        "task": "probe_even_subdivision",
-        "pattern": {"n": H.vertex_count, "edges": [list(e_) for e_ in H.edge_list]},
-        "k": int(k),
-        "d": float(d),
-        "n": int(n),
-        **asdict(cfg),
-    }
     return _penalty_search(
+        task={"task": "probe_even_subdivision", "k": int(k)},
+        H=H,
         value_fn=value_fn,
         grad_fn=grad_fn,
         verify_fn=lambda W: hom_density(subdivided, W),
         d=d,
         n=n,
-        cfg=cfg,
+        cfg=config or SearchConfig(),
         seed=seed,
         bound=strong,
-        config_echo=echo,
         weak_bound=c_H * strong,
     )
 

@@ -144,10 +144,17 @@ def as_step_function(f, W: StepGraphon) -> StepFunction:
 # --- constructors ---------------------------------------------------------------
 
 
+def _uniform_measures(n: int) -> np.ndarray:
+    """n equal block measures; a block count below 1 is a ValueError."""
+    if n < 1:
+        raise ValueError(f"need at least one block, got {n}")
+    return np.full(n, 1.0 / n)
+
+
 def constant(d: float, blocks: int = 1) -> StepGraphon:
     if not 0.0 <= d <= 1.0:
         raise ValueError("constant level must lie in [0, 1]")
-    return StepGraphon(np.full((blocks, blocks), float(d)), np.full(blocks, 1.0 / blocks))
+    return StepGraphon(np.full((blocks, blocks), float(d)), _uniform_measures(blocks))
 
 
 def from_graph(G: Graph) -> StepGraphon:
@@ -159,7 +166,7 @@ def from_graph(G: Graph) -> StepGraphon:
     for u, v in G.edges:
         values[u, v] = 1.0
         values[v, u] = 1.0
-    return StepGraphon(values, np.full(n, 1.0 / n))
+    return StepGraphon(values, _uniform_measures(n))
 
 
 # --- basic functionals -----------------------------------------------------------
@@ -225,8 +232,9 @@ def _random_graphon(
 ) -> StepGraphon:
     """Values floor + (1 - floor) U with U from _random_symmetric, then
     measures, uniform or Dirichlet, from the same stream."""
+    uniform = _uniform_measures(n)
     values = floor + (1.0 - floor) * _random_symmetric(rng, n)
-    measures = rng.dirichlet(np.ones(n)) if dirichlet else np.full(n, 1.0 / n)
+    measures = rng.dirichlet(np.ones(n)) if dirichlet else uniform
     return StepGraphon(values, measures)
 
 
@@ -250,7 +258,7 @@ def gen_regular(
     """
     if not 0.0 <= d <= 1.0:
         raise ValueError("degree must lie in [0, 1]")
-    mu = np.full(n, 1.0 / n)
+    mu = _uniform_measures(n)
     if n == 1:
         return StepGraphon(np.array([[d]]), mu)
     rng = np.random.default_rng(seed)

@@ -129,9 +129,9 @@ def _report(
     )
 
 
-def _registry_meta(H: Graph, assume) -> dict:
+def _registry_meta(H: Graph) -> dict:
     """Patterns outside the proven lower-bound registry are advisory."""
-    registered = in_knrs_registry(H, assume)
+    registered = in_knrs_registry(H)
     return {"advisory": not registered, "registered": registered}
 
 
@@ -152,7 +152,7 @@ def check_sidorenko(H: Graph, W: StepGraphon, metadata: dict | None = None) -> V
 
 
 def check_knrs(
-    H: Graph, W: StepGraphon, d: float | None = None, assume=(), metadata: dict | None = None
+    H: Graph, W: StepGraphon, d: float | None = None, metadata: dict | None = None
 ) -> VerificationReport:
     """t(H, W) >= d^e(H) for d-locally dense W; d defaults to the exact d*.
 
@@ -166,12 +166,12 @@ def check_knrs(
             f"claimed local density {d} exceeds certified {cert.d_star}"
         )
     d = float(d)
-    meta = {**_registry_meta(H, assume), "d": d, **(metadata or {})}
+    meta = {**_registry_meta(H), "d": d, **(metadata or {})}
     return _report("knrs", hom_density(H, W), d**H.edge_count, {"H": H, "W": W, "d": d}, meta)
 
 
 def check_weakly_knrs(
-    H: Graph, k: int, W: StepGraphon, assume=(), metadata: dict | None = None
+    H: Graph, k: int, W: StepGraphon, metadata: dict | None = None
 ) -> VerificationReport:
     """Proven constant-factor bound for even subdivisions:
     t of the 2k-subdivision of H is at least c_H d^((2k+1) e(H)) with
@@ -186,7 +186,7 @@ def check_weakly_knrs(
     strong = d ** ((2 * k + 1) * e)
     c_H = 0.5 ** (H.vertex_count + 2 * k * e)
     meta = {
-        **_registry_meta(H, assume),
+        **_registry_meta(H),
         "d": d,
         "k": k,
         "constant": c_H,
@@ -198,7 +198,7 @@ def check_weakly_knrs(
 
 
 def check_even_subdivision_sidorenko(
-    H: Graph, k: int, W: StepGraphon, assume=(), metadata: dict | None = None
+    H: Graph, k: int, W: StepGraphon, metadata: dict | None = None
 ) -> VerificationReport:
     """For d-regular W: t of the (2k-1)-subdivision of H >= d^(2k e(H)).
 
@@ -208,21 +208,21 @@ def check_even_subdivision_sidorenko(
     if d is None:
         raise NotRegularError("host graphon is not degree-regular within 1e-9")
     d = float(d)
-    meta = {**_registry_meta(H, assume), "d": d, "k": k, **(metadata or {})}
+    meta = {**_registry_meta(H), "d": d, "k": k, **(metadata or {})}
     computed = hom_density_subdivided(H, 2 * k - 1, W)
     bound = d ** (2 * k * H.edge_count)
     return _report("even_subdivision_sidorenko", computed, bound, {"H": H, "W": W, "k": k}, meta)
 
 
 def check_regular_subdivision_knrs(
-    H: Graph, k: int, W: StepGraphon, assume=(), metadata: dict | None = None
+    H: Graph, k: int, W: StepGraphon, metadata: dict | None = None
 ) -> VerificationReport:
     """For regular patterns H: t of the 2k-subdivision >= d*^((2k+1) e(H))."""
     _check_half_length(k)
     if graphs_mod.is_regular(H) is None:
         raise PatternNotRegularError("pattern graph is not degree-regular")
     d = float(local_density_exact(W).d_star)
-    meta = {**_registry_meta(H, assume), "d": d, "k": k, **(metadata or {})}
+    meta = {**_registry_meta(H), "d": d, "k": k, **(metadata or {})}
     computed = hom_density_subdivided(H, 2 * k, W)
     bound = d ** ((2 * k + 1) * H.edge_count)
     return _report("regular_subdivision_knrs", computed, bound, {"H": H, "W": W, "k": k}, meta)
@@ -269,7 +269,7 @@ def check_reiher(W: StepGraphon, f, metadata: dict | None = None) -> Verificatio
 
 
 def check_extended_reiher(
-    H: Graph, W: StepGraphon, omega, metadata: dict | None = None, assume=()
+    H: Graph, W: StepGraphon, omega, metadata: dict | None = None
 ) -> VerificationReport:
     """Vertex-weighted density bound: the omega-weighted density of H is at
     least (int omega)^v(H) d*^e(H) for registry patterns."""
@@ -277,7 +277,7 @@ def check_extended_reiher(
     d = local_density_exact(W).d_star
     computed = hom_density_weighted(H, W, func)
     bound = func.integral() ** H.vertex_count * d**H.edge_count
-    meta = {**_registry_meta(H, assume), "d": float(d), **(metadata or {})}
+    meta = {**_registry_meta(H), "d": float(d), **(metadata or {})}
     return _report("extended_reiher", computed, bound, {"H": H, "W": W, "omega": func.values}, meta)
 
 

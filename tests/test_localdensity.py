@@ -308,7 +308,7 @@ def test_vectorised_assembly_matches_loop_bitwise(n):
 
 
 def test_stacked_subgradients_reject_non_stacks():
-    for shape in ((3, 3), (2, 3, 4)):
+    for shape in ((3, 3), (2, 3, 4), (1, 0, 0)):
         with pytest.raises(ValueError):
             local_density_subgradients(np.zeros(shape))
 

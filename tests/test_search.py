@@ -42,6 +42,32 @@ def test_rejects_zero_starts():
         minimize_hom_density(clique(2), 0.5, 2, cfg)
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    (
+        SearchConfig(lambda_schedule=()),
+        SearchConfig(lambda_schedule=(1e1, float("nan"))),
+        SearchConfig(lambda_schedule=(float("inf"),)),
+        SearchConfig(lambda_schedule=(-1e1, 1e2)),
+        SearchConfig(inner_iterations=-1),
+    ),
+    ids=("empty", "nan", "inf", "negative", "negative-iterations"),
+)
+def test_rejects_bad_schedule(cfg):
+    with pytest.raises(ValueError):
+        minimize_hom_density(clique(2), 0.5, 2, cfg)
+    with pytest.raises(ValueError):
+        probe_even_subdivision(clique(2), 1, 0.5, 2, cfg)
+
+
+def test_rejects_block_count_below_one():
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            minimize_hom_density(clique(2), 0.5, n, QUICK)
+        with pytest.raises(ValueError):
+            probe_even_subdivision(clique(2), 1, 0.5, n, QUICK)
+
+
 def test_probe_rejects_k_below_one():
     with pytest.raises(ValueError):
         probe_even_subdivision(clique(3), 0, 0.5, 2, QUICK)
@@ -208,23 +234,32 @@ LOCKSTEP_RUNS = {
 }
 
 
-def _assert_same_outcome(got, want):
-    for field in ("best", "best_near", "best_infeasible"):
-        a, b = getattr(got, field), getattr(want, field)
-        assert (a is None) == (b is None), field
-        if a is not None:
-            assert (a[0], a[1], a[3]) == (b[0], b[1], b[3]), field
-            assert np.array_equal(a[2], b[2]), field
-    assert got.near_seen == want.near_seen
-    assert got.trajectory == want.trajectory
-    assert np.array_equal(got.final, want.final)
+class _RecordingBests(search._Bests):
+    """A _Bests that also keeps every point tracked, as (start, value, B,
+    residual) in tracking order."""
+
+    def __init__(self):
+        super().__init__()
+        self.points = []
+
+    def track(self, start, value, B, residual):
+        self.points.append((start, value, B.copy(), residual))
+        super().track(start, value, B, residual)
+
+
+def _assert_same_points(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a[0], a[1], a[3]) == (b[0], b[1], b[3])
+        assert np.array_equal(a[2], b[2])
 
 
 @pytest.mark.parametrize("run", LOCKSTEP_RUNS.values(), ids=LOCKSTEP_RUNS.keys())
 def test_lockstep_starts_match_lone_runs(run, monkeypatch):
-    # record each start's generator arguments, the lockstep outcomes, every
-    # stack the search solves and every determinant fallback
-    path_args, outcomes, stacks, dets = [], [], [], []
+    # record each start's generator arguments, the lockstep trajectories,
+    # every stack the search solves and every determinant fallback; the
+    # shared record keeps every tracked point
+    path_args, trajectories, stacks, dets = [], [], [], []
     start_path, lockstep = search._start_path, search._lockstep
     solve, det = search.local_density_subgradients, np.linalg.det
 
@@ -233,8 +268,8 @@ def test_lockstep_starts_match_lone_runs(run, monkeypatch):
         return start_path(*args)
 
     def recording_lockstep(paths):
-        outcomes.extend(lockstep(paths))
-        return list(outcomes)
+        trajectories.extend(lockstep(paths))
+        return list(trajectories)
 
     def recording_solve(Bs):
         stacks.append(np.array(Bs))
@@ -244,6 +279,7 @@ def test_lockstep_starts_match_lone_runs(run, monkeypatch):
         dets.append(len(a))
         return det(a)
 
+    monkeypatch.setattr(search, "_Bests", _RecordingBests)
     monkeypatch.setattr(search, "_start_path", recording_path)
     monkeypatch.setattr(search, "_lockstep", recording_lockstep)
     monkeypatch.setattr(search, "local_density_subgradients", recording_solve)
@@ -251,12 +287,49 @@ def test_lockstep_starts_match_lone_runs(run, monkeypatch):
     run(LOCKSTEP_CONFIG)
     monkeypatch.undo()
 
-    assert len(path_args) == len(outcomes) == LOCKSTEP_CONFIG.starts
+    assert len(path_args) == len(trajectories) == LOCKSTEP_CONFIG.starts
     assert np.array_equal(path_args[0][1], np.full_like(path_args[0][1], path_args[0][4]))
     # the first solve stacks every start's initial point, in start order
     initial = [np.clip((args[1] + args[1].T) / 2.0, 0.0, 1.0) for args in path_args]
     assert np.array_equal(stacks[0], np.array(initial))
     assert dets
-    for args, together in zip(path_args, outcomes):
-        (alone,) = search._lockstep([search._start_path(*args)])
-        _assert_same_outcome(together, alone)
+    shared = path_args[0][-1]
+    assert all(args[-1] is shared for args in path_args)
+    for start, (args, together) in enumerate(zip(path_args, trajectories)):
+        alone = _RecordingBests()
+        assert search._lockstep([search._start_path(*args[:-1], alone)]) == [together]
+        _assert_same_points(
+            [point for point in shared.points if point[0] == start], alone.points
+        )
+
+
+def test_bests_give_ties_to_the_earlier_start_then_the_earlier_point():
+    bests = search._Bests()
+    first, second, third = (np.full((2, 2), x) for x in (0.1, 0.2, 0.3))
+    # start 1 is tracked first, as lockstep may do; start 0's equal value wins
+    bests.track(1, 0.5, first, 0.0)
+    bests.track(0, 0.5, second, 0.0)
+    bests.track(0, 0.5, third, 0.0)
+    assert bests.best[:2] == (0.5, 0) and np.array_equal(bests.best[2], second)
+    # the same rule in the near-feasible and least-residual categories
+    bests.track(1, 0.4, first, 1e-7)
+    bests.track(0, 0.4, second, 1e-7)
+    bests.track(0, 0.4, third, 1e-7)
+    assert bests.near[:2] == (0.4, 0) and np.array_equal(bests.near[2], second)
+    assert bests.least[:2] == (0.0, 0) and np.array_equal(bests.least[2], second)
+    # a strictly lower value from a later start still wins
+    bests.track(3, 0.3, third, 0.0)
+    assert bests.best[:2] == (0.3, 3)
+
+
+# Recorded before the starts shared one record of best points.  Each of these
+# searches meets equal values in different starts, so a tracker that broke
+# ties by tracking order instead of by start would report another point.
+TIE_CONFIG = SearchConfig(starts=4, inner_iterations=6, include_constant_start=False)
+
+
+@pytest.mark.parametrize("size, d", ((2, 0.95), (3, 0.8)))
+def test_cross_start_ties_are_pinned(size, d):
+    result = minimize_hom_density(clique(size), d, 2, TIE_CONFIG, seed=0)
+    expected = (SEARCH_PATHS / f"ties_K{size}_d{d}_n2.json").read_text()
+    assert result_to_json_text(result) == expected

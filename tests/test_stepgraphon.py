@@ -57,6 +57,17 @@ def test_rejects_bad_values():
         StepGraphon([[np.nan]], [1.0])
     with pytest.raises(ValueError):
         StepGraphon([[0.5, 0.5], [0.5, 0.5]], [1.0, 0.0])
+    # block counts below 1, before any division by the count
+    for n in (0, -2):
+        for make in (
+            lambda: constant(0.5, n),
+            lambda: gen_random(n, 1),
+            lambda: gen_random(n, 1, dirichlet_measures=True),
+            lambda: gen_pointwise_dense(n, 0.3, 1),
+            lambda: gen_regular(n, 0.5, 1),
+        ):
+            with pytest.raises(ValueError):
+                make()
 
 
 def test_symmetrization_of_tiny_asymmetry():
