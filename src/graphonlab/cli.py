@@ -1,9 +1,10 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 failed verification checks, 2 bad input or config
-(including an output file that cannot be written), 3 budget exceeded, 4 search
-found no feasible point, 5 internal error.  Every error exit prints one
-`error: ...` line on stderr and no traceback.
+(a ValueError, a ConfigError, or an OSError such as an output file that cannot
+be written), 3 budget exceeded, 4 search found no feasible point, 5 internal
+error.  Every error exit prints one `error: ...` line on stderr and no
+traceback; _Group.invoke is the one place that maps an error to its code.
 """
 
 from __future__ import annotations
@@ -39,6 +40,15 @@ DEFAULT_GRAPHON_CELLS = 10**7
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout when path is None."""
+    if path is None:
+        click.echo(text, nl=False)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def parse_pattern(spec: str) -> Graph:
@@ -171,17 +181,18 @@ def _svg_line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
 
 class _Group(click.Group):
     """Maps any error a command raises to its exit code and one `error:` line
-    instead of a traceback: ConfigError (such as a bad GRAPHONLAB_BUDGET) and
-    OSError (such as an unwritable --out path) exit 2, BudgetExceededError
-    exits 3 and anything else exits 5.  click's own exceptions, SystemExit and
-    a broken stdout pipe (which click silences) pass through."""
+    instead of a traceback: ValueError (such as a bad spec or option value),
+    ConfigError (such as a bad GRAPHONLAB_BUDGET) and OSError (such as an
+    unwritable --out path) exit 2, BudgetExceededError exits 3 and anything
+    else exits 5.  click's own exceptions, SystemExit and a broken stdout pipe
+    (which click silences) pass through."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except (click.ClickException, click.Abort, click.exceptions.Exit, BrokenPipeError):
             raise
-        except (ConfigError, OSError) as exc:
+        except (ValueError, ConfigError, OSError) as exc:
             _fail(EXIT_INPUT, str(exc))
         except BudgetExceededError as exc:
             _fail(EXIT_BUDGET, str(exc))
@@ -214,11 +225,8 @@ def cli():
 )
 def density(pattern, graphon, route, subdivision):
     """Print the homomorphism density t(H, W)."""
-    try:
-        H = parse_pattern(pattern)
-        W = parse_graphon(graphon)
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
+    H = parse_pattern(pattern)
+    W = parse_graphon(graphon)
     H_eff = graphs_mod.subdivide(H, subdivision)
     if route == "fast":
         click.echo(repr(hom_density(H_eff, W)))
@@ -254,10 +262,7 @@ def density(pattern, graphon, route, subdivision):
 @click.option("--seed", type=int, default=0, show_default=True)
 def localdensity(graphon, method, resolution, starts, seed):
     """Print a local density certificate as JSON."""
-    try:
-        W = parse_graphon(graphon)
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
+    W = parse_graphon(graphon)
     if method == "exact":
         cert = ld.local_density_exact(W)
     elif method == "estimate":
@@ -285,32 +290,24 @@ def op(graphon, kind, s, k, out):
     accept back; u-kernel and walk-density are not graphons and emit plain
     values/measures documents.
     """
-    try:
-        W = parse_graphon(graphon)
-        if kind in ("path-power", "walk-density"):
-            if s is None:
-                raise ValueError(f"{kind} needs --s")
-            if kind == "path-power":
-                doc = sg.graphon_to_json(ops.path_power(W, s))
-            else:
-                f = ops.path_function(W, s)
-                doc = {"values": f.values.tolist(), "measures": f.measures.tolist()}
+    W = parse_graphon(graphon)
+    if kind in ("path-power", "walk-density"):
+        if s is None:
+            raise ValueError(f"{kind} needs --s")
+        if kind == "path-power":
+            doc = sg.graphon_to_json(ops.path_power(W, s))
         else:
-            if k is None:
-                raise ValueError(f"{kind} needs --k")
-            if kind == "normalized-power":
-                doc = sg.graphon_to_json(ops.normalized_path_power(W, k))
-            else:
-                kern = ops.u_kernel(W, k)
-                doc = {"values": kern.values.tolist(), "measures": kern.measures.tolist()}
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            f = ops.path_function(W, s)
+            doc = {"values": f.values.tolist(), "measures": f.measures.tolist()}
     else:
-        click.echo(text, nl=False)
+        if k is None:
+            raise ValueError(f"{kind} needs --k")
+        if kind == "normalized-power":
+            doc = sg.graphon_to_json(ops.normalized_path_power(W, k))
+        else:
+            kern = ops.u_kernel(W, k)
+            doc = {"values": kern.values.tolist(), "measures": kern.measures.tolist()}
+    _write(out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 @cli.command()
@@ -340,11 +337,7 @@ def verify(suite, checks, trials, seed, out, fmt):
         text = verify_mod.reports_to_json(reports, config)
     else:
         text = verify_mod.reports_to_csv(reports)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _write(out, text)
     summary = verify_mod.summarize(reports)
     for r in reports:
         if r.advisory and not r.passed:
@@ -371,25 +364,21 @@ def verify(suite, checks, trials, seed, out, fmt):
 @click.option("--plot", type=click.Path(), default=None, help="Write an SVG of the trajectory (or sweep).")
 def search(pattern, d, n, starts, seed, inner_iterations, probe_k, sweep_d, emit_graphon, plot):
     """Penalty-method search for density lower-bound violations."""
-    try:
-        H = parse_pattern(pattern)
-        sweep = None
-        if sweep_d is not None:
-            sweep = [float(x) for x in sweep_d.split(",") if x.strip()]
-            if not sweep:
-                raise ValueError("empty sweep list")
-            if emit_graphon:
-                raise ValueError("--emit-graphon takes one search; it cannot be used with --sweep-d")
-        # every d is checked before the first search runs, so a bad value
-        # late in a sweep leaves no partial output
-        for dv in [d] + (sweep or []):
-            if not 0.0 < dv < 1.0:
-                raise ValueError(f"target density must lie in (0, 1), got {dv:g}")
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
+    H = parse_pattern(pattern)
+    sweep = None
+    if sweep_d is not None:
+        sweep = [float(x) for x in sweep_d.split(",") if x.strip()]
+        if not sweep:
+            raise ValueError("empty sweep list")
+        if emit_graphon:
+            raise ValueError("--emit-graphon takes one search; it cannot be used with --sweep-d")
+    # every d is checked before the first search runs, so a bad value late in
+    # a sweep leaves no partial output
+    for dv in [d] + (sweep or []):
+        if not 0.0 < dv < 1.0:
+            raise ValueError(f"target density must lie in (0, 1), got {dv:g}")
     cfg = search_mod.SearchConfig(starts=starts, inner_iterations=inner_iterations)
-    registered = graphs_mod.in_knrs_registry(H)
-    if not registered:
+    if not graphs_mod.in_knrs_registry(H):
         click.echo("advisory: pattern is outside the proven lower-bound registry", err=True)
 
     def run(dv):
@@ -397,46 +386,29 @@ def search(pattern, d, n, starts, seed, inner_iterations, probe_k, sweep_d, emit
             return search_mod.probe_even_subdivision(H, probe_k, dv, n, config=cfg, seed=seed)
         return search_mod.minimize_hom_density(H, dv, n, config=cfg, seed=seed)
 
-    try:
-        if sweep is not None:
-            points = []
-            for dv in sweep:
-                result = run(dv)
-                points.append((dv, result))
-                click.echo(
-                    f"d={dv:g} ratio={result.best_ratio!r} feasible={result.feasible}"
-                )
-            if plot:
-                chart = _svg_line_chart(
-                    [("best ratio", [(dv, r.best_ratio) for dv, r in points])],
-                    title="feasible-best ratio vs d",
-                    xlabel="d",
-                    ylabel="ratio",
-                )
-                with open(plot, "w", encoding="utf-8") as fh:
-                    fh.write(chart)
-            if not all(r.feasible for _, r in points):
-                click.echo("no feasible point reached the tolerance at some d", err=True)
-                sys.exit(EXIT_INFEASIBLE)
-            return
-        result = run(d)
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
+    if sweep is not None:
+        points = []
+        for dv in sweep:
+            result = run(dv)
+            points.append((dv, result))
+            click.echo(f"d={dv:g} ratio={result.best_ratio!r} feasible={result.feasible}")
+        if plot:
+            series = [("best ratio", [(dv, r.best_ratio) for dv, r in points])]
+            _write(plot, _svg_line_chart(series, title="feasible-best ratio vs d", xlabel="d", ylabel="ratio"))
+        if not all(r.feasible for _, r in points):
+            click.echo("no feasible point reached the tolerance at some d", err=True)
+            sys.exit(EXIT_INFEASIBLE)
+        return
+    result = run(d)
     if emit_graphon:
         sg.save_graphon(result.best_graphon, emit_graphon)
     if plot:
         traj = result.trajectory
-        chart = _svg_line_chart(
-            [
-                ("penalized objective", [(i, v) for i, v, _ in traj]),
-                ("constraint residual", [(i, r) for i, _, r in traj]),
-            ],
-            title="search trajectory",
-            xlabel="iteration",
-            ylabel="value",
-        )
-        with open(plot, "w", encoding="utf-8") as fh:
-            fh.write(chart)
+        series = [
+            ("penalized objective", [(i, v) for i, v, _ in traj]),
+            ("constraint residual", [(i, r) for i, _, r in traj]),
+        ]
+        _write(plot, _svg_line_chart(series, title="search trajectory", xlabel="iteration", ylabel="value"))
     click.echo(search_mod.result_to_json_text(result), nl=False)
     if not result.feasible:
         click.echo("no feasible point reached the tolerance", err=True)

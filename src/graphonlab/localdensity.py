@@ -31,6 +31,7 @@ from .stepgraphon import StepGraphon
 DEFAULT_MAX_EXACT_BLOCKS = 18  # 2**18 supports
 CONDITION_LIMIT = 1e12
 DEFAULT_GRID_BUDGET = 10**7
+DEFAULT_ESTIMATE_BUDGET = 10**7  # PGD starts times n * n
 PGD_MAX_ITERATIONS = 10**4
 PGD_STOP_TOL = 1e-10
 ARMIJO_SIGMA = 1e-4
@@ -303,9 +304,15 @@ def local_density_estimate(W: StepGraphon, starts: int = 20, seed: int = 0) -> L
     Runs from the barycenter, every vertex, every pair midpoint, and `starts`
     Dirichlet samples; the extra deterministic starts make small instances
     agree with the exact solver in practice.  Deterministic for a fixed seed.
+    Raises BudgetExceededError, before any descent, when the starts times
+    n * n exceed DEFAULT_ESTIMATE_BUDGET (or GRAPHONLAB_BUDGET).
     """
     n = W.n
     B = W.values
+    budget = resolve_budget(None, DEFAULT_ESTIMATE_BUDGET)
+    count = 1 + n + n * (n - 1) // 2 + max(starts, 0)
+    if count * n * n > budget:
+        raise BudgetExceededError(f"{count} PGD starts on {n} blocks need {count * n * n} cells, budget {budget:g}")
     rng = np.random.default_rng(seed)
     points = [np.full(n, 1.0 / n)]
     for i in range(n):

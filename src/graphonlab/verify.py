@@ -330,7 +330,11 @@ SUITE_CHECK_ORDER = (
     "restriction_pullback",
 )
 
-_ALLOWED_CONFIG_KEYS = {"suite", "checks", "seed", "trials", "n_min", "n_max"}
+# every trial's graphon has between SUITE_N_MIN and SUITE_N_MAX blocks
+SUITE_N_MIN = 2
+SUITE_N_MAX = 5
+
+_ALLOWED_CONFIG_KEYS = {"suite", "checks", "seed", "trials"}
 
 
 def _parse_config(config: dict | None) -> dict:
@@ -353,18 +357,10 @@ def _parse_config(config: dict | None) -> dict:
         for name in checks:
             if name not in SUITE_CHECK_ORDER:
                 raise ConfigError(f"unknown check {name!r}")
-    out = {
-        "checks": checks,
-        "seed": int(config.get("seed", 0)),
-        "trials": int(config.get("trials", 5)),
-        "n_min": int(config.get("n_min", 2)),
-        "n_max": int(config.get("n_max", 5)),
-    }
-    if out["trials"] < 0:
+    seed, trials = int(config.get("seed", 0)), int(config.get("trials", 5))
+    if trials < 0:
         raise ConfigError("trials must be nonnegative")
-    if not 1 <= out["n_min"] <= out["n_max"]:
-        raise ConfigError("need 1 <= n_min <= n_max")
-    return out
+    return {"checks": checks, "seed": seed, "trials": trials}
 
 
 def _trial_rng(seed: int, check_index: int, trial: int) -> np.random.Generator:
@@ -390,14 +386,14 @@ def _pattern(spec) -> tuple:
     return graphs_mod.catalog(name, *args), label
 
 
-def _run_check(name: str, seed: int, check_index: int, trial: int, cfg: dict) -> VerificationReport:
+def _run_check(name: str, seed: int, check_index: int, trial: int) -> VerificationReport:
     rng = _trial_rng(seed, check_index, trial)
     meta = {"seed": seed, "trial": trial}
     k = 1 + trial % 2
 
     def graphon(floor=0.0):
         # random block count, then values and Dirichlet measures
-        n = int(rng.integers(cfg["n_min"], cfg["n_max"] + 1))
+        n = int(rng.integers(SUITE_N_MIN, SUITE_N_MAX + 1))
         return sg._random_graphon(rng, n, floor, dirichlet=True)
 
     def pattern(specs):
@@ -416,7 +412,7 @@ def _run_check(name: str, seed: int, check_index: int, trial: int, cfg: dict) ->
         return check_weakly_knrs(pattern((("clique", 3),)), k, graphon(), metadata=meta)
     if name == "even_subdivision_sidorenko":
         d = (0.2, 0.5, 0.8)[trial % 3]
-        n = cfg["n_min"] + trial % (cfg["n_max"] - cfg["n_min"] + 1)
+        n = SUITE_N_MIN + trial % (SUITE_N_MAX - SUITE_N_MIN + 1)
         W = sg.gen_regular(n, d, seed=int(rng.integers(2**32)))
         H = pattern((("clique", 3), ("clique", 4)))
         return check_even_subdivision_sidorenko(H, k, W, metadata=meta)
@@ -452,7 +448,7 @@ def run_suite(config: dict | None = None) -> list:
     reports = []
     for check_index, name in enumerate(cfg["checks"]):
         for trial in range(cfg["trials"]):
-            reports.append(_run_check(name, cfg["seed"], check_index, trial, cfg))
+            reports.append(_run_check(name, cfg["seed"], check_index, trial))
     return reports
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -268,6 +269,20 @@ def test_localdensity_budget_exit_3(runner):
         env={"GRAPHONLAB_BUDGET": "4"},
     )
     assert res.exit_code == 3
+
+
+def test_localdensity_estimate_budget_exit_3(runner, monkeypatch):
+    monkeypatch.delenv("GRAPHONLAB_BUDGET", raising=False)
+    t0 = time.perf_counter()
+    res = runner.invoke(cli, ["localdensity", "--graphon", "random:80:1", "--method", "estimate"])
+    assert time.perf_counter() - t0 < 1.0
+    assert res.exit_code == 3, res.output
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith("error: ")
+    res = runner.invoke(cli, ["localdensity", "--graphon", "random:20:1", "--method", "estimate"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.stdout)["method"] == "projected_gradient"
 
 
 # --- op ---------------------------------------------------------------------------
@@ -630,3 +645,27 @@ def test_internal_error_exit_5(runner, monkeypatch, target, args):
     assert isinstance(res.exception, SystemExit)
     assert res.stdout == ""
     assert res.stderr.splitlines() == ["error: internal: RuntimeError: backend broke"]
+
+
+@pytest.mark.parametrize(
+    "target, args",
+    [
+        ("graphonlab.cli.hom_density", ["density", "--pattern", "clique:3", "--graphon", "const:0.5"]),
+        ("graphonlab.localdensity.local_density_exact", ["localdensity", "--graphon", "const:0.5"]),
+        ("graphonlab.operators.path_power", ["op", "--graphon", "const:0.5", "--kind", "path-power", "--s", "2"]),
+        ("graphonlab.verify.run_suite", ["verify", "--check", "transform", "--trials", "1"]),
+        ("graphonlab.search.minimize_hom_density", QUICK_SEARCH),
+    ],
+    ids=["density", "localdensity", "op", "verify", "search"],
+)
+def test_value_error_exit_2(runner, monkeypatch, target, args):
+    # a library ValueError means invalid input, whichever command hits it
+    def invalid(*a, **kw):
+        raise ValueError("bad thing")
+
+    monkeypatch.setattr(target, invalid)
+    res = runner.invoke(cli, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == ["error: bad thing"]

@@ -133,6 +133,20 @@ def test_grid_budget():
         local_density_grid_oracle(w, 1000, budget=100)
 
 
+def test_estimate_budget(monkeypatch):
+    # (1 + 80 + 3160 + 20) starts of 80 * 80 cells are past 10**7; checked
+    # before the first descent, so the refusal is immediate
+    monkeypatch.delenv("GRAPHONLAB_BUDGET", raising=False)
+    with pytest.raises(BudgetExceededError):
+        local_density_estimate(gen_random(80, 1))
+    # 7 deterministic starts of 9 cells: GRAPHONLAB_BUDGET moves the limit
+    monkeypatch.setenv("GRAPHONLAB_BUDGET", "62")
+    with pytest.raises(BudgetExceededError):
+        local_density_estimate(gen_random(3, 1), starts=0)
+    monkeypatch.setenv("GRAPHONLAB_BUDGET", "63")
+    assert local_density_estimate(gen_random(3, 1), starts=0).method == "projected_gradient"
+
+
 def test_grid_certificate_method():
     cert = grid_certificate(constant(0.2, blocks=2), 50)
     assert cert.method == "grid"
