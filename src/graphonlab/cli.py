@@ -21,7 +21,7 @@ from . import operators as ops
 from . import search as search_mod
 from . import stepgraphon as sg
 from . import verify as verify_mod
-from .budget import resolve_budget
+from .budget import DEFAULT_GRAPHON_CELLS, charge
 from .density import hom_density, hom_density_naive, hom_density_subdivided
 from .errors import BudgetExceededError, ConfigError, GraphonLabError
 from .graphs import Graph
@@ -31,10 +31,6 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INFEASIBLE = 4
 EXIT_INTERNAL = 5
-
-# Largest value matrix a graphon spec may ask for, in cells: 10**7 cells are
-# 80 MB of float64, n = 3162 blocks.
-DEFAULT_GRAPHON_CELLS = 10**7
 
 
 def _fail(code: int, message: str):
@@ -76,9 +72,7 @@ def _block_count(text: str) -> int:
     n = int(text)
     if n < 1:
         raise ValueError(f"block count must be at least 1, got {n}")
-    budget = resolve_budget(None, DEFAULT_GRAPHON_CELLS)
-    if n * n > budget:
-        raise BudgetExceededError(f"{n} blocks make {n * n} cells, beyond the budget of {budget:g}")
+    charge(n * n, DEFAULT_GRAPHON_CELLS, f"graphon spec of {n} blocks", "cells")
     return n
 
 

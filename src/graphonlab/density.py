@@ -19,8 +19,8 @@ only runs array arithmetic: one product per step and one np.dot against
 the weights.  hom_density, hom_density_weighted and grad_hom_density, and
 through hom_density the walk-kernel shortcut, all run on this one engine.
 
-Work is accounted in block-tensor cells touched; every call checks the
-plan's cell count against its budget before any arithmetic runs.
+Work is accounted in block-tensor cells touched; every call charges the
+plan's cell count to the budget (budget.charge) before any arithmetic runs.
 """
 
 from __future__ import annotations
@@ -32,14 +32,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import resolve_budget
-from .errors import BudgetExceededError
+from .budget import DEFAULT_CELL_BUDGET, DEFAULT_ENUMERATION_BUDGET, charge
 from .graphs import Graph, subdivide
 from .operators import path_power
 from .stepgraphon import StepGraphon, as_step_function
 
-DEFAULT_CELL_BUDGET = 10**9
-DEFAULT_ENUMERATION_BUDGET = 10**8
 # Bound of each compiled-program cache (density, gradient, shared layouts).
 # The working sets fit: the verify checks use 12 patterns at n = 2..10, 108
 # density programs (paper-default alone needs 23), and a search a handful of
@@ -200,15 +197,6 @@ def _gradient_program(H: Graph, n: int) -> tuple:
     return tuple(programs)
 
 
-def _check_budget(cost: float, budget: float) -> None:
-    # a step touches n^arity cells and the plan's cost sums them over all
-    # steps, so passing this check bounds the whole run
-    if cost > budget:
-        raise BudgetExceededError(
-            f"elimination plan needs {cost:g} cells, budget {budget:g}"
-        )
-
-
 def _run(program: _Program, B: np.ndarray, weight: np.ndarray):
     """Run program on value matrix B with the unary weight at every vertex.
 
@@ -244,41 +232,39 @@ def _run(program: _Program, B: np.ndarray, weight: np.ndarray):
     return scalar, factor
 
 
-def hom_density(H: Graph, W: StepGraphon, budget: float | None = None) -> float:
+def hom_density(H: Graph, W: StepGraphon) -> float:
     """t(H, W) by greedy variable elimination."""
-    return hom_density_weighted(H, W, None, budget=budget)
+    return hom_density_weighted(H, W, None)
 
 
-def hom_density_weighted(H: Graph, W: StepGraphon, omega, budget: float | None = None) -> float:
+def hom_density_weighted(H: Graph, W: StepGraphon, omega) -> float:
     """Vertex-weighted density: each map picks up omega at every vertex."""
-    budget = resolve_budget(budget, DEFAULT_CELL_BUDGET)
+    program = _density_program(H, W.n)
+    # a step touches n^arity cells and the plan's cost sums them over all
+    # steps, so passing this charge bounds the whole run
+    charge(program.cost, DEFAULT_CELL_BUDGET, "elimination plan", "cells")
     if H.vertex_count == 0:
         return 1.0
-    n = W.n
     if omega is None:
         weight = W.measures
     else:
         weight = as_step_function(omega, W).values * W.measures
-    program = _density_program(H, n)
-    _check_budget(program.cost, budget)
     scalar, _ = _run(program, W.values, weight)
     return float(scalar)
 
 
-def hom_density_naive(H: Graph, W: StepGraphon, budget: float | None = None) -> float:
+def hom_density_naive(H: Graph, W: StepGraphon) -> float:
     """t(H, W) by full enumeration of all n^v(H) block maps.
 
     Per-map products are formed in float64; the final accumulation is exact
     compensated summation over all maps.
     """
-    budget = resolve_budget(budget, DEFAULT_ENUMERATION_BUDGET)
-    if H.vertex_count == 0:
-        return 1.0
     n = W.n
     vH = H.vertex_count
     total = n**vH
-    if total > budget:
-        raise BudgetExceededError(f"{total} maps exceed enumeration budget {budget:g}")
+    charge(total, DEFAULT_ENUMERATION_BUDGET, "enumeration", "maps")
+    if vH == 0:
+        return 1.0
     B = W.values
     mu = W.measures
     edges = H.edge_list
@@ -296,7 +282,7 @@ def hom_density_naive(H: Graph, W: StepGraphon, budget: float | None = None) -> 
     return math.fsum(partials)
 
 
-def hom_density_subdivided(H: Graph, s: int, W: StepGraphon, budget: float | None = None) -> float:
+def hom_density_subdivided(H: Graph, s: int, W: StepGraphon) -> float:
     """t of the s-subdivision of H, computed as t(H, W_{s+1}).
 
     Replacing every edge of H by a path with s internal vertices multiplies
@@ -306,26 +292,24 @@ def hom_density_subdivided(H: Graph, s: int, W: StepGraphon, budget: float | Non
     if s < 0:
         raise ValueError("subdivision count must be nonnegative")
     if s == 0:
-        return hom_density(H, W, budget=budget)
-    return hom_density(H, path_power(W, s + 1), budget=budget)
+        return hom_density(H, W)
+    return hom_density(H, path_power(W, s + 1))
 
 
-def grad_hom_density(H: Graph, W: StepGraphon, budget: float | None = None) -> np.ndarray:
+def grad_hom_density(H: Graph, W: StepGraphon) -> np.ndarray:
     """Gradient of t(H, .) in the symmetric parametrization.
 
     Entry (i, j) is the derivative with respect to the single parameter
     controlling both values[i][j] and values[j][i]; off-diagonal entries
     therefore accumulate both orientations of every pinned edge.
     """
-    budget = resolve_budget(budget, DEFAULT_CELL_BUDGET)
     n = W.n
     mu = W.measures
-    G = np.zeros((n, n))
-    if H.vertex_count == 0:
-        return G
     programs = _gradient_program(H, n)
-    for program in programs:
-        _check_budget(program.cost, budget)
+    # each pinned program runs on its own, so the costliest one is charged
+    cost = max((program.cost for program in programs), default=0.0)
+    charge(cost, DEFAULT_CELL_BUDGET, "elimination plan", "cells")
+    G = np.zeros((n, n))
     outer_mu = np.outer(mu, mu)
     for program in programs:
         scalar, factor = _run(program, W.values, mu)

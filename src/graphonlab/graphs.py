@@ -8,10 +8,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .budget import resolve_budget
-from .errors import BudgetExceededError, UnknownGraphError
-
-DEFAULT_ENUMERATION_BUDGET = 10**8
+from .budget import DEFAULT_ENUMERATION_BUDGET, charge
+from .errors import UnknownGraphError
 
 
 @dataclass(frozen=True)
@@ -79,22 +77,17 @@ def subdivide(H: Graph, k: int) -> Graph:
     return Graph(next_id, frozenset((min(a, b), max(a, b)) for a, b in edges))
 
 
-def hom_count(H: Graph, G: Graph, budget: float | None = None) -> int:
+def hom_count(H: Graph, G: Graph) -> int:
     """Number of homomorphisms H -> G by full enumeration of all maps.
 
     Deliberately naive: this is the oracle the density engines are checked
     against, so it must stay a direct transcription of the definition.
     """
-    budget = resolve_budget(budget, DEFAULT_ENUMERATION_BUDGET)
+    charge(G.vertex_count**H.vertex_count, DEFAULT_ENUMERATION_BUDGET, "enumeration", "maps")
     if H.vertex_count == 0:
         return 1
     if G.vertex_count == 0:
         return 0
-    total = G.vertex_count ** H.vertex_count
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} maps exceed enumeration budget {budget:g}"
-        )
     adj = G.neighbors
     edges = H.edge_list
     count = 0
@@ -258,16 +251,11 @@ def is_complete_multipartite(H: Graph) -> bool:
     return True
 
 
-def in_knrs_registry(H: Graph, assume: tuple = ()) -> bool:
+def in_knrs_registry(H: Graph) -> bool:
     """Whether H is on the allow-list of graphs with a proven clique-density
-    lower bound t(H, W) >= d^e(H) for every d-locally dense W.
-
-    The built-in list is complete multipartite graphs and odd cycles.  Callers
-    may extend it with explicit graphs via `assume`, at their own risk; those
-    are matched by exact labeled structure.
+    lower bound t(H, W) >= d^e(H) for every d-locally dense W: complete
+    multipartite graphs and odd cycles.
     """
-    if any(H == other for other in assume):
-        return True
     return is_complete_multipartite(H) or is_odd_cycle(H)
 
 

@@ -24,14 +24,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .budget import resolve_budget
-from .errors import BudgetExceededError
+from .budget import DEFAULT_ESTIMATE_BUDGET, DEFAULT_GRID_BUDGET, DEFAULT_SUPPORT_BUDGET, charge
 from .stepgraphon import StepGraphon
 
-DEFAULT_MAX_EXACT_BLOCKS = 18  # 2**18 supports
 CONDITION_LIMIT = 1e12
-DEFAULT_GRID_BUDGET = 10**7
-DEFAULT_ESTIMATE_BUDGET = 10**7  # PGD starts times n * n
 PGD_MAX_ITERATIONS = 10**4
 PGD_STOP_TOL = 1e-10
 ARMIJO_SIGMA = 1e-4
@@ -164,16 +160,9 @@ def _candidate_arrays(Bs: np.ndarray) -> tuple:
     return np.concatenate(owners), np.concatenate(values), np.concatenate(witnesses)
 
 
-def _exact_block_limit(max_blocks: int | None) -> int:
-    if max_blocks is not None:
-        return int(max_blocks)
-    budget = resolve_budget(None, float(2**DEFAULT_MAX_EXACT_BLOCKS))
-    return max(1, int(math.floor(math.log2(budget))))
-
-
-def _certified_stack(Bs: np.ndarray, max_blocks: int | None = None) -> tuple:
-    """Guard and select for the stack Bs (shape (k, n, n)), after checking n
-    against the exact-solver block limit: (owner, values, witnesses) as from
+def _certified_stack(Bs: np.ndarray) -> tuple:
+    """Guard and select for the stack Bs (shape (k, n, n)), after charging
+    its 2^n supports per matrix: (owner, values, witnesses) as from
     _candidate_arrays but grouped by matrix, and best, the row of each
     matrix's certificate, which is its first candidate of least value in scan
     order.
@@ -182,9 +171,7 @@ def _certified_stack(Bs: np.ndarray, max_blocks: int | None = None) -> tuple:
     zero-diagonal vertices and no support is enumerated.  The others go
     through _candidate_arrays together."""
     k, n, _ = Bs.shape
-    max_blocks = _exact_block_limit(max_blocks)
-    if n > max_blocks:
-        raise BudgetExceededError(f"{n} blocks exceed the exact-solver limit of {max_blocks}")
+    charge(2**n, DEFAULT_SUPPORT_BUDGET, "exact solver", "supports")
     diags = np.diagonal(Bs, axis1=1, axis2=2)
     live = np.flatnonzero(np.all(diags != 0.0, axis=1))
     dead, vertex = np.nonzero(diags == 0.0)
@@ -207,13 +194,13 @@ def _certificate(values: np.ndarray, witnesses: np.ndarray, row: int) -> LocalDe
     return LocalDensityCertificate(float(values[row]), witnesses[row], "exact_support_enumeration", 0.0)
 
 
-def local_density_exact(W: StepGraphon, max_blocks: int | None = None) -> LocalDensityCertificate:
+def local_density_exact(W: StepGraphon) -> LocalDensityCertificate:
     """Global minimum of x^T B x over the simplex by support enumeration.
 
     Deterministic: supports are scanned by cardinality then lexicographically,
     and ties keep the first witness found.
     """
-    _, values, witnesses, best = _certified_stack(W.values[None], max_blocks)
+    _, values, witnesses, best = _certified_stack(W.values[None])
     return _certificate(values, witnesses, int(best[0]))
 
 
@@ -309,10 +296,8 @@ def local_density_estimate(W: StepGraphon, starts: int = 20, seed: int = 0) -> L
     """
     n = W.n
     B = W.values
-    budget = resolve_budget(None, DEFAULT_ESTIMATE_BUDGET)
     count = 1 + n + n * (n - 1) // 2 + max(starts, 0)
-    if count * n * n > budget:
-        raise BudgetExceededError(f"{count} PGD starts on {n} blocks need {count * n * n} cells, budget {budget:g}")
+    charge(count * n * n, DEFAULT_ESTIMATE_BUDGET, f"PGD with {count} starts on {n} blocks", "cells")
     rng = np.random.default_rng(seed)
     points = [np.full(n, 1.0 / n)]
     for i in range(n):
@@ -349,29 +334,24 @@ def _simplex_lattice(n: int, resolution: int) -> np.ndarray:
     return np.diff(fences, axis=1) - 1
 
 
-def grid_certificate(W: StepGraphon, resolution: int, budget: float | None = None) -> LocalDensityCertificate:
+def grid_certificate(W: StepGraphon, resolution: int) -> LocalDensityCertificate:
     """Minimum of x^T B x over the simplex lattice with the given resolution,
     with its lattice point as witness.
 
     A brute-force upper bound used to sanity-check the exact solver."""
     if resolution < 1:
         raise ValueError("resolution must be positive")
-    budget = resolve_budget(budget, DEFAULT_GRID_BUDGET)
     n = W.n
-    count = math.comb(resolution + n - 1, n - 1)
-    if count > budget:
-        raise BudgetExceededError(
-            f"{count} grid points exceed budget {budget:g}"
-        )
+    charge(math.comb(resolution + n - 1, n - 1), DEFAULT_GRID_BUDGET, "grid", "lattice points")
     X = _simplex_lattice(n, resolution) / float(resolution)
     vals = np.einsum("ki,ki->k", X @ W.values, X)
     idx = int(np.argmin(vals))
     return LocalDensityCertificate(float(vals[idx]), X[idx], "grid", math.inf)
 
 
-def local_density_grid_oracle(W: StepGraphon, resolution: int, budget: float | None = None) -> float:
+def local_density_grid_oracle(W: StepGraphon, resolution: int) -> float:
     """The value of grid_certificate."""
-    return grid_certificate(W, resolution, budget).d_star
+    return grid_certificate(W, resolution).d_star
 
 
 def is_locally_dense(W: StepGraphon, d: float, tol: float = 1e-9) -> bool:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budget import DEFAULT_CELL_BUDGET, charge
 from .stepgraphon import OccupancyVector, StepFunction, StepGraphon, _unchecked_graphon
 
 # Blocks whose walk mass falls below this are treated as exact zeros.
@@ -49,9 +50,13 @@ def _power_values(B: np.ndarray, mu: np.ndarray, s: int) -> np.ndarray:
 
 
 def path_power(W: StepGraphon, s: int) -> StepGraphon:
-    """Walk kernel W_s as a step graphon on the same blocks; W_1 = W."""
+    """Walk kernel W_s as a step graphon on the same blocks; W_1 = W.
+
+    Its s - 1 matrix products touch (s - 1) n^3 cells, as many as the
+    elimination engine counts for the same walk; they are charged first."""
     if s < 1:
         raise ValueError("walk length must be at least 1")
+    charge((s - 1) * W.n**3, DEFAULT_CELL_BUDGET, f"walk power of length {s}", "cells")
     out = _power_values(W.values, W.measures, s)
     high = float(out.max(initial=0.0))
     if high > 1.0 + POWER_DRIFT_TOL:

@@ -156,8 +156,10 @@ def check_knrs(
 ) -> VerificationReport:
     """t(H, W) >= d^e(H) for d-locally dense W; d defaults to the exact d*.
 
-    A caller-supplied d above the certified local density is an error, not a
-    failed check."""
+    A caller-supplied d outside [0, 1] or above the certified local density
+    is an error, not a failed check."""
+    if d is not None and not 0.0 <= d <= 1.0:
+        raise ValueError(f"local density d must lie in [0, 1], got {d!r}")
     cert = local_density_exact(W)
     if d is None:
         d = cert.d_star

@@ -68,7 +68,7 @@ def test_oversized_graphon_spec_exit_3_before_allocating(runner, spec, monkeypat
     res = runner.invoke(cli, ["density", "--pattern", "clique:3", "--graphon", spec])
     assert res.exit_code == 3, res.output
     assert res.stderr.splitlines() == [
-        "error: 100000 blocks make 10000000000 cells, beyond the budget of 1e+07"
+        "error: graphon spec of 100000 blocks needs 10000000000 cells, budget 1e+07"
     ]
     assert res.stdout == ""
     # GRAPHONLAB_BUDGET moves the limit: 3 blocks are 9 cells
@@ -175,8 +175,9 @@ def test_density_budget_env_exit_3(runner):
         ["verify", "--check", "knrs", "--trials", "1"],
         ["search", "--pattern", "clique:3", "--d", "0.5", "--n", "2", "--starts", "1",
          "--inner-iterations", "1"],
+        ["op", "--graphon", "const:0.5", "--kind", "path-power", "--s", "3"],
     ],
-    ids=["density", "density-naive", "localdensity", "localdensity-grid", "verify", "search"],
+    ids=["density", "density-naive", "localdensity", "localdensity-grid", "verify", "search", "op"],
 )
 def test_bad_budget_env_exit_2(runner, args, value):
     # non-numeric, NaN, infinite and non-positive budgets are bad config

@@ -119,16 +119,18 @@ def test_subdivided_shortcut_matches_explicit():
             assert math.isclose(explicit, shortcut, rel_tol=1e-10, abs_tol=1e-14)
 
 
-def test_naive_budget():
+def test_naive_budget(monkeypatch):
     w = gen_random(5, seed=1)
+    monkeypatch.setenv("GRAPHONLAB_BUDGET", repr(100))
     with pytest.raises(BudgetExceededError):
-        hom_density_naive(clique(4), w, budget=100)
+        hom_density_naive(clique(4), w)
 
 
-def test_fast_budget():
+def test_fast_budget(monkeypatch):
     w = gen_random(5, seed=1)
+    monkeypatch.setenv("GRAPHONLAB_BUDGET", repr(10))
     with pytest.raises(BudgetExceededError):
-        hom_density(clique(5), w, budget=10)
+        hom_density(clique(5), w)
 
 
 def test_plan_elimination_tree_width_on_cycle():
@@ -341,14 +343,16 @@ def test_budget_checked_before_any_arithmetic(monkeypatch):
     def check_budget_errors():
         with monkeypatch.context() as m:
             m.setattr(density, "_run", _no_arithmetic)
+            m.setenv("GRAPHONLAB_BUDGET", repr(cost - 1))
             message = f"elimination plan needs {cost:g} cells, budget {cost - 1:g}"
             with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
-                hom_density(H, W, budget=cost - 1)
+                hom_density(H, W)
             with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
-                hom_density_weighted(H, W, omega, budget=cost - 1)
+                hom_density_weighted(H, W, omega)
+            m.setenv("GRAPHONLAB_BUDGET", repr(grad_budget))
             message = f"elimination plan needs {first_over:g} cells, budget {grad_budget:g}"
             with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
-                grad_hom_density(H, W, budget=grad_budget)
+                grad_hom_density(H, W)
 
     density._density_program.cache_clear()
     density._gradient_program.cache_clear()
@@ -356,5 +360,8 @@ def test_budget_checked_before_any_arithmetic(monkeypatch):
     hom_density(H, W)
     grad_hom_density(H, W)
     check_budget_errors()  # with both programs cached
-    # a budget equal to the cost passes, and explicit budgets take any number
-    assert hom_density(H, W, budget=cost) == hom_density(H, W, budget=math.inf)
+    # a budget equal to the cost passes
+    with monkeypatch.context() as m:
+        m.setenv("GRAPHONLAB_BUDGET", repr(cost))
+        at_cost = hom_density(H, W)
+    assert at_cost == hom_density(H, W)

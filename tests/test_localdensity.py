@@ -127,10 +127,11 @@ def test_grid_oracle_two_block():
     assert local_density_grid_oracle(w, 9) >= 0.5
 
 
-def test_grid_budget():
+def test_grid_budget(monkeypatch):
     w = gen_random(5, seed=4)
+    monkeypatch.setenv("GRAPHONLAB_BUDGET", repr(100))
     with pytest.raises(BudgetExceededError):
-        local_density_grid_oracle(w, 1000, budget=100)
+        local_density_grid_oracle(w, 1000)
 
 
 def test_estimate_budget(monkeypatch):
@@ -181,10 +182,11 @@ def test_simplex_lattice_matches_recursive_order(n, resolution):
     assert np.array_equal(lattice, expected)
 
 
-def test_exact_budget_guard():
+def test_exact_budget_guard(monkeypatch):
     w = gen_random(3, seed=5)
+    monkeypatch.setenv("GRAPHONLAB_BUDGET", repr(2**2))
     with pytest.raises(BudgetExceededError):
-        local_density_exact(w, max_blocks=2)
+        local_density_exact(w)
 
 
 def test_subgradient_unique_argmin():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphonlab import (
+    BudgetExceededError,
     StepFunction,
     StepGraphon,
     constant,
@@ -16,6 +17,7 @@ from graphonlab import (
     u_kernel,
     zero_block_set,
 )
+from graphonlab import operators
 
 RNG_SEEDS = st.integers(0, 2**31 - 1)
 
@@ -47,6 +49,22 @@ def test_path_function_is_degree_for_s1():
 def test_path_power_rejects_bad_length():
     with pytest.raises(ValueError):
         path_power(constant(0.5), 0)
+
+
+def test_path_power_charges_before_any_product(monkeypatch):
+    # (s - 1) n^3 cells: at n = 10, s = 10**6 + 2 is 1000 cells past 10**9
+    monkeypatch.delenv("GRAPHONLAB_BUDGET", raising=False)
+    with monkeypatch.context() as m:
+        m.setattr(operators, "_power_values", lambda *args: pytest.fail("a product ran"))
+        message = r"^walk power of length 1000002 needs 1000001000 cells, budget 1e\+09$"
+        with pytest.raises(BudgetExceededError, match=message):
+            path_power(gen_random(10, seed=1), 10**6 + 2)
+        # GRAPHONLAB_BUDGET moves the limit: s = 3 at n = 3 is 54 cells
+        m.setenv("GRAPHONLAB_BUDGET", "53")
+        with pytest.raises(BudgetExceededError):
+            path_power(gen_random(3, seed=1), 3)
+    monkeypatch.setenv("GRAPHONLAB_BUDGET", "54")
+    assert path_power(gen_random(3, seed=1), 3).n == 3
 
 
 @settings(max_examples=30, deadline=None)

@@ -78,6 +78,12 @@ def test_knrs_default_d_and_uncertified():
     assert r2.passed
 
 
+@pytest.mark.parametrize("d", [float("nan"), -1.0, 1.5, float("inf")])
+def test_knrs_rejects_claimed_d_outside_unit_interval(d):
+    with pytest.raises(ValueError, match="must lie in \\[0, 1\\]"):
+        check_knrs(clique(3), gen_random(3, seed=1), d=d)
+
+
 def test_knrs_advisory_for_unregistered():
     w = gen_random(3, seed=3)
     r = check_knrs(z6_chords(), w)
