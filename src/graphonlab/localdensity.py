@@ -10,9 +10,10 @@ at a point in the relative interior of a face where the equality-constrained
 stationarity system holds.  Enumerating every support therefore yields the
 exact optimum: boundary minimizers of one face reappear as interior or vertex
 candidates of a sub-face, so singular or ill-conditioned stationarity systems
-can be skipped safely.  Every support's system is solved first; the condition
-number, an SVD, is computed only for the solutions that are strictly
-interior, which are the only ones kept.
+can be skipped safely.  Every support's system is solved first, and only the
+solutions that are strictly interior are gated by condition number.  A
+determinant bound clears almost all of them; the condition number itself, an
+SVD, is computed only for the few the bound cannot clear.
 """
 
 from __future__ import annotations
@@ -103,6 +104,14 @@ def _quadratic_values(xs: np.ndarray, subs: np.ndarray, owner: np.ndarray, k: in
     return np.cumsum(terms.reshape(m, r * r), axis=1)[:, -1]
 
 
+def _condition_bounds(K: np.ndarray, dets: np.ndarray) -> np.ndarray:
+    """||K||_F^m / |det K| for each m x m matrix of the stack K, given its
+    determinant: an upper bound on its 2-norm condition number (inf or nan
+    where the det is 0 or not finite)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.einsum("kij,kij->k", K, K) ** (K.shape[-1] / 2) / np.abs(dets)
+
+
 def _candidate_arrays(Bs: np.ndarray) -> tuple:
     """Candidate minimizers of the stack Bs (shape (k, n, n)) as three flat
     arrays (owner, values, witnesses): each candidate's matrix, its value and
@@ -115,8 +124,27 @@ def _candidate_arrays(Bs: np.ndarray) -> tuple:
     gated: those whose system has condition number beyond CONDITION_LIMIT are
     dropped (their minimizers reappear on sub-supports).  Solving first and
     gating the few interior rows keeps the same candidates as gating every
-    row, at a fraction of the SVDs.  Exactly singular systems, whose LU
-    factorisation meets a zero pivot, get no solution and are dropped too.
+    row.  Exactly singular systems, whose LU factorisation meets a zero pivot,
+    get no solution and are dropped too.
+
+    The gate clears most rows without an SVD.  For an m x m matrix K with
+    singular values s_1 >= ... >= s_m, |det K| = s_1 ... s_m <= s_1^(m-1) s_m
+    and s_1 <= ||K||_F, so cond_2(K) = s_1 / s_m <= ||K||_F^m / |det K|.  A row
+    whose bound is finite and at most CONDITION_LIMIT / 100 is kept; every
+    other row (bound above that, a zero or a non-finite det) is kept only if
+    np.linalg.cond says so, as before.  The factor 100 is margin for
+    rounding.  LU is backward stable: the computed det is the exact det of
+    K + E with ||E|| <= c eps ||K|| for a small c, which moves each singular
+    value by at most ||E||.  If cond(K) > CONDITION_LIMIT = 1e12, then
+    s_m < 1e-12 s_1, the perturbed s_m stays below (1e-12 + c eps) s_1, and
+    the computed bound stays above about 1 / (1e-12 + c eps).  That reaches
+    CONDITION_LIMIT / 100 only for c above about 4e5, far beyond the growth
+    of partial pivoting on these systems; so the computed det cannot clear a
+    system whose true condition number is above about 1e10, let alone one
+    beyond CONDITION_LIMIT.  On a cleared row the SVD's own relative error
+    is near eps * 1e10, so np.linalg.cond would keep it too, and the kept
+    rows are exactly those it keeps.
+
     Every step acts on each KKT system on its own, so a matrix's candidates
     are bit for bit the same whatever else is stacked with it."""
     k, n, _ = Bs.shape
@@ -132,6 +160,7 @@ def _candidate_arrays(Bs: np.ndarray) -> tuple:
         K[:, r, :r] = 1.0
         rhs = np.zeros((k * m, r + 1, 1))
         rhs[:, r, 0] = 1.0
+        dets = None
         try:
             sols = np.linalg.solve(K, rhs)[:, :r, 0]
         except np.linalg.LinAlgError:
@@ -145,9 +174,15 @@ def _candidate_arrays(Bs: np.ndarray) -> tuple:
         rows = np.nonzero(np.all(sols > 0.0, axis=1))[0]
         if len(rows) == 0:
             continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            conds = np.linalg.cond(K[rows])
-        rows = rows[np.isfinite(conds) & (conds <= CONDITION_LIMIT)]
+        gated = K[rows]
+        bounds = _condition_bounds(gated, np.linalg.det(gated) if dets is None else dets[rows])
+        keep = np.isfinite(bounds) & (bounds <= CONDITION_LIMIT / 100)
+        unclear = np.flatnonzero(~keep)
+        if len(unclear):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                conds = np.linalg.cond(gated[unclear])
+            keep[unclear] = np.isfinite(conds) & (conds <= CONDITION_LIMIT)
+        rows = rows[keep]
         if len(rows) == 0:
             continue
         owner, support = np.divmod(rows, m)

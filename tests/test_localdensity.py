@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -330,13 +331,16 @@ def test_stacked_subgradients_reject_non_stacks():
 
 
 def _spy_det_masks(monkeypatch) -> list:
-    """Patch np.linalg.det to record, per call, how many rows it masks."""
+    """Patch np.linalg.det to record how many rows it masks, per call made
+    while a LinAlgError is handled: the singular-row branch of the stacked
+    solve, not the condition gate, which takes dets of solved rows."""
     det = np.linalg.det
     masked = []
 
     def spy(a):
         dets = det(a)
-        masked.append(int(np.sum(dets == 0.0)))
+        if isinstance(sys.exc_info()[1], np.linalg.LinAlgError):
+            masked.append(int(np.sum(dets == 0.0)))
         return dets
 
     monkeypatch.setattr(np.linalg, "det", spy)
@@ -372,6 +376,17 @@ def test_subgradients_reject_bad_tie_tol():
     assert np.all(np.isfinite(P))
 
 
+def _kkt(subs):
+    """The KKT matrices of the stack of r x r blocks subs, built as
+    _candidate_arrays builds them."""
+    k, r, _ = subs.shape
+    K = np.zeros((k, r + 1, r + 1))
+    K[:, :r, :r] = 2.0 * subs
+    K[:, :r, r] = -1.0
+    K[:, r, :r] = 1.0
+    return K
+
+
 def _cond_first_candidate_arrays(Bs):
     """The enumerator as it was before the reorder: the condition gate on
     every KKT system, then the solve of the rows that pass it, then the
@@ -383,10 +398,7 @@ def _cond_first_candidate_arrays(Bs):
     for combos in localdensity._supports_by_cardinality(n):
         m, r = combos.shape
         subs = Bs[:, combos[:, :, None], combos[:, None, :]].reshape(k * m, r, r)
-        K = np.zeros((k * m, r + 1, r + 1))
-        K[:, :r, :r] = 2.0 * subs
-        K[:, :r, r] = -1.0
-        K[:, r, :r] = 1.0
+        K = _kkt(subs)
         with np.errstate(divide="ignore", invalid="ignore"):
             conds = np.linalg.cond(K)
         ok = np.isfinite(conds) & (conds <= localdensity.CONDITION_LIMIT)
@@ -429,8 +441,20 @@ def _oracle_inputs(rng, n):
     np.fill_diagonal(zero_diagonal, 0.0)
     one_diagonal = zero_one.copy()
     np.fill_diagonal(one_diagonal, 1.0)
+    # condition numbers near CONDITION_LIMIT: the determinant bound cannot
+    # clear these rows, and the SVD keeps some and drops others
+    near_limit = 0.5 + 1e-11 * _symmetric(rng.uniform(-1.0, 1.0, size=(n, n)))
     return np.array(
-        [uniform, near_constant, np.round(uniform, 1), duplicated, zero_one, zero_diagonal, one_diagonal]
+        [
+            uniform,
+            near_constant,
+            np.round(uniform, 1),
+            duplicated,
+            zero_one,
+            zero_diagonal,
+            one_diagonal,
+            near_limit,
+        ]
     )
 
 
@@ -445,6 +469,57 @@ def test_solve_then_gate_matches_cond_first_oracle(n, monkeypatch):
         assert np.array_equal(got_array, want_array)
     # the duplicated block makes exactly singular systems: the det mask ran
     assert sum(masked) > 0
+
+
+def _spy_cond_rows(monkeypatch) -> list:
+    """Patch np.linalg.cond to record, per call, (rows it keeps, rows)."""
+    cond = np.linalg.cond
+    calls = []
+
+    def spy(a):
+        conds = cond(a)
+        kept = np.isfinite(conds) & (conds <= localdensity.CONDITION_LIMIT)
+        calls.append((int(kept.sum()), len(conds)))
+        return conds
+
+    monkeypatch.setattr(np.linalg, "cond", spy)
+    return calls
+
+
+def test_condition_bound_dominates_cond():
+    # ||K||_F^m / |det K| >= cond_2(K) on KKT systems of every size up to 15;
+    # where the system is singular to working precision (cond beyond 1e14)
+    # det and cond are both rounding noise and the bound is not checked
+    rng = np.random.default_rng(17)
+    Bs = list(_oracle_inputs(rng, 14)) + [_symmetric(rng.uniform(size=(14, 14))) for _ in range(4)]
+    checked = 0
+    for r in range(1, 15):
+        combos = np.array([np.sort(rng.choice(14, r, replace=False)) for _ in range(30)])
+        for B in Bs:
+            K = _kkt(B[combos[:, :, None], combos[:, None, :]])
+            dets = np.linalg.det(K)
+            bounds = localdensity._condition_bounds(K, dets)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                conds = np.linalg.cond(K)
+            resolved = (dets != 0.0) & (conds < 1e14)
+            assert np.all(bounds[resolved] >= conds[resolved])
+            checked += int(np.sum(resolved & (conds > 1e8)))
+            # the gate's own claim: a row the bound clears, the SVD keeps
+            cleared = np.isfinite(bounds) & (bounds <= localdensity.CONDITION_LIMIT / 100)
+            assert np.all(conds[cleared] <= localdensity.CONDITION_LIMIT)
+    assert checked > 0  # ill-conditioned systems were among them
+
+
+def test_svd_only_for_rows_the_bound_cannot_clear(monkeypatch):
+    calls = _spy_cond_rows(monkeypatch)
+    rng = np.random.default_rng(23)
+    # the search's case: a stack of uniform random matrices at n = 4
+    local_density_subgradients(np.array([_symmetric(rng.uniform(size=(4, 4))) for _ in range(36)]))
+    assert calls == []
+    B = 0.5 + 1e-11 * _symmetric(rng.uniform(-1.0, 1.0, size=(8, 8)))
+    local_density_subgradients(B[None])
+    kept = sum(kept for kept, _ in calls)
+    assert 0 < kept < sum(rows for _, rows in calls)  # the SVD decided both ways
 
 
 def test_is_locally_dense():
