@@ -9,15 +9,16 @@ values times the product of block measures:
   greedy minimum degree, ties to the lowest vertex id), which turns
   subdivision-heavy patterns from exponential into low-order polynomial work.
 
-The elimination engine compiles once and runs many times.  For each pattern
-and block count n, the plan is replayed symbolically into a program: which
-factor slots every step multiplies, and the transpose and broadcast shape
-that line each one up with the eliminated vertex on the summed axis.  A
-gradient's program holds one such program per edge, with that edge deleted
-and its endpoints pinned.  Programs are cached by (pattern, n), so a call
-only runs array arithmetic: one product per step and one np.dot against
-the weights.  hom_density, hom_density_weighted and grad_hom_density, and
-through hom_density the walk-kernel shortcut, all run on this one engine.
+The elimination engine plans once and runs many times.  For each pattern
+and block count n, plan_elimination picks the order and, in the same pass,
+lays it out as a program: which factor slots every step multiplies, and the
+transpose and broadcast shape that line each one up with the eliminated
+vertex on the summed axis.  A gradient holds one such plan per edge, with
+that edge deleted and its endpoints pinned.  Plans are cached by (pattern,
+n), so a call only runs array arithmetic: one product per step and one
+np.dot against the weights.  hom_density, hom_density_weighted and
+grad_hom_density, and through hom_density the walk-kernel shortcut, all run
+on this one engine.
 
 Work is accounted in block-tensor cells touched; every call charges the
 plan's cell count to the budget (budget.charge) before any arithmetic runs.
@@ -37,64 +38,16 @@ from .graphs import Graph, subdivide
 from .operators import path_power
 from .stepgraphon import StepGraphon, as_step_function
 
-# Bound of each compiled-program cache (density, gradient, shared layouts).
+# Bound of each plan cache (density plans, gradient plans, shared layouts).
 # The working sets fit: the verify checks use 12 patterns at n = 2..10, 108
-# density programs (paper-default alone needs 23), and a search a handful of
-# gradient programs.  A gradient program of a 10-edge pattern holds about
+# density plans (paper-default alone needs 23), and a search a handful of
+# gradient plans.  A gradient's plans for a 10-edge pattern hold about
 # 20 KB, so full caches stay near 3 MB.
 PROGRAM_CACHE_SIZE = 128
 
 
-@dataclass(frozen=True)
-class EliminationPlan:
-    """Vertex elimination order with per-step working-factor arities.
-
-    cost is the total number of cells the contraction will touch,
-    sum of n^arity over the steps.
-    """
-
-    order: tuple
-    arities: tuple
-    block_count: int
-    cost: float
-
-
-@lru_cache(maxsize=4096)
-def plan_elimination(H: Graph, n: int, pinned: tuple = ()) -> EliminationPlan:
-    """Greedy minimum-degree elimination order over the non-pinned vertices.
-
-    Simulates fill-in on the interaction graph: eliminating v joins its
-    current neighbors into a clique.  Pinned vertices are never eliminated
-    but do count toward factor arities.
-    """
-    alive = set(range(H.vertex_count))
-    adj = {v: set() for v in alive}
-    for u, v in H.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    remaining = alive - set(pinned)
-    order = []
-    arities = []
-    cost = 0.0
-    while remaining:
-        v = min(remaining, key=lambda u: (len(adj[u]), u))
-        neigh = adj[v]
-        order.append(v)
-        arities.append(len(neigh) + 1)
-        cost += float(n) ** (len(neigh) + 1)
-        for a in neigh:
-            adj[a].discard(v)
-        for a in neigh:
-            for b in neigh:
-                if a != b:
-                    adj[a].add(b)
-        del adj[v]
-        remaining.discard(v)
-    return EliminationPlan(tuple(order), tuple(arities), n, cost)
-
-
 class _Step(NamedTuple):
-    """One elimination step of a compiled program.
+    """One elimination step of a plan.
 
     slots are the factors touching the eliminated vertex, in factor-list
     order, and layouts their (transpose permutation, broadcast shape); no
@@ -114,15 +67,19 @@ class _Step(NamedTuple):
     out_shape: tuple
 
 
-class _Program(NamedTuple):
-    """An elimination plan compiled for one (pattern, n).
+@dataclass(frozen=True)
+class EliminationPlan:
+    """A vertex elimination order, laid out as a program over factor slots.
 
-    Slots 0..edge_count-1 start as the value matrix, one per edge in the
-    order compiled; step outputs fill the later slots.  cost is the plan's
-    cell count.  tail_slots and tail_layouts line up the factors left over
-    the pinned vertices.
+    arities are the per-step working-factor arities, and cost is the total
+    number of cells the contraction will touch, sum of n^arity over the
+    steps.  Slots 0..edge_count-1 start as the value matrix, one per edge in
+    edge_list order; step outputs fill the later slots.  tail_slots and
+    tail_layouts line up the factors left over the pinned vertices.
     """
 
+    order: tuple
+    arities: tuple
     cost: float
     edge_count: int
     steps: tuple
@@ -134,7 +91,7 @@ class _Program(NamedTuple):
 @lru_cache(maxsize=PROGRAM_CACHE_SIZE)
 def _layout(positions: tuple, width: int, n: int) -> tuple:
     """(permutation, shape) broadcasting a factor whose axes go to positions
-    of a width-axis product; shared by every program that needs it."""
+    of a width-axis product; shared by every plan that needs it."""
     shape = [1] * width
     for p in positions:
         shape[p] = n
@@ -147,57 +104,71 @@ def _layouts(factors, order: tuple, n: int) -> tuple:
     )
 
 
-def _compile(edges: tuple, plan: EliminationPlan, n: int, pinned: tuple = ()) -> _Program:
-    """Replay plan.order on factor scopes only; no values are involved."""
-    factors = [(edge, slot) for slot, edge in enumerate(edges)]
-    next_slot = len(edges)
-    steps = []
-    for v in plan.order:
+@lru_cache(maxsize=PROGRAM_CACHE_SIZE)
+def plan_elimination(H: Graph, n: int, pinned: tuple = ()) -> EliminationPlan:
+    """Greedy minimum-degree elimination over the non-pinned vertices.
+
+    Simulates fill-in on the interaction graph: eliminating v joins its
+    current neighbors into a clique.  The same step lays out the factors
+    touching v, whose scopes cover v and exactly those neighbors, and
+    replaces them by one factor over the neighbors.  Pinned vertices are
+    never eliminated but do count toward factor arities.
+    """
+    adj = {v: set() for v in range(H.vertex_count)}
+    for u, v in H.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    remaining = set(adj) - set(pinned)
+    factors = [(edge, slot) for slot, edge in enumerate(H.edge_list)]
+    next_slot = len(factors)
+    order, arities, steps = [], [], []
+    cost = 0.0
+    while remaining:
+        v = min(remaining, key=lambda u: (len(adj[u]), u))
+        rest = tuple(sorted(adj[v]))
+        order.append(v)
+        arities.append(len(rest) + 1)
+        cost += float(n) ** (len(rest) + 1)
+        for a in rest:
+            adj[a].discard(v)
+            adj[a].update(b for b in rest if b != a)
+        del adj[v]
+        remaining.discard(v)
         touching = [f for f in factors if v in f[0]]
         factors = [f for f in factors if v not in f[0]]
         if not touching:
             steps.append(_Step((), (), False, None, ()))
             continue
-        union = sorted(set().union(*(vars_ for vars_, _ in touching)))
-        rest = tuple(w for w in union if w != v)
-        lead = bool(rest) and v == union[0]
-        order = (v,) + rest if lead else rest + (v,)
+        lead = bool(rest) and v < rest[0]
         out = None
         if rest:
             out = next_slot
             next_slot += 1
             factors.append((rest, out))
-        slots = tuple(slot for _, slot in touching)
-        steps.append(_Step(slots, _layouts(touching, order, n), lead, out, (n,) * len(rest)))
+        layouts = _layouts(touching, (v,) + rest if lead else rest + (v,), n)
+        steps.append(_Step(tuple(s for _, s in touching), layouts, lead, out, (n,) * len(rest)))
     # a factor left off the pinned vertices would be a planning bug
     assert all(set(vars_) <= set(pinned) for vars_, _ in factors)
-    tail_slots = tuple(slot for _, slot in factors)
-    tail_layouts = _layouts(factors, pinned, n)
-    return _Program(plan.cost, len(edges), tuple(steps), pinned, tail_slots, tail_layouts)
-
-
-@lru_cache(maxsize=PROGRAM_CACHE_SIZE)
-def _density_program(H: Graph, n: int) -> _Program:
-    return _compile(H.edge_list, plan_elimination(H, n), n)
+    return EliminationPlan(
+        tuple(order), tuple(arities), cost, H.edge_count, tuple(steps), pinned,
+        tuple(s for _, s in factors), _layouts(factors, pinned, n),
+    )
 
 
 @lru_cache(maxsize=PROGRAM_CACHE_SIZE)
 def _gradient_program(H: Graph, n: int) -> tuple:
-    """One program per edge (u, v) of H: H without that edge, u and v pinned.
+    """One plan per edge e of H: H without e, the endpoints of e pinned.
 
     The edge-deleted graphs are planned without the plan cache, since no
     other call asks for them.
     """
-    programs = []
-    for edge in H.edge_list:
-        rest_edges = tuple(e for e in H.edge_list if e != edge)
-        rest = Graph(H.vertex_count, frozenset(rest_edges))
-        plan = plan_elimination.__wrapped__(rest, n, pinned=edge)
-        programs.append(_compile(rest_edges, plan, n, pinned=edge))
-    return tuple(programs)
+    return tuple(
+        plan_elimination.__wrapped__(Graph(H.vertex_count, H.edges - {edge}), n, pinned=edge)
+        for edge in H.edge_list
+    )
 
 
-def _run(program: _Program, B: np.ndarray, weight: np.ndarray):
+def _run(program: EliminationPlan, B: np.ndarray, weight: np.ndarray):
     """Run program on value matrix B with the unary weight at every vertex.
 
     Returns (scalar, factor over the pinned vertices); the factor is None
@@ -239,17 +210,17 @@ def hom_density(H: Graph, W: StepGraphon) -> float:
 
 def hom_density_weighted(H: Graph, W: StepGraphon, omega) -> float:
     """Vertex-weighted density: each map picks up omega at every vertex."""
-    program = _density_program(H, W.n)
+    plan = plan_elimination(H, W.n)
     # a step touches n^arity cells and the plan's cost sums them over all
     # steps, so passing this charge bounds the whole run
-    charge(program.cost, DEFAULT_CELL_BUDGET, "elimination plan", "cells")
+    charge(plan.cost, DEFAULT_CELL_BUDGET, "elimination plan", "cells")
     if H.vertex_count == 0:
         return 1.0
     if omega is None:
         weight = W.measures
     else:
         weight = as_step_function(omega, W).values * W.measures
-    scalar, _ = _run(program, W.values, weight)
+    scalar, _ = _run(plan, W.values, weight)
     return float(scalar)
 
 
@@ -305,14 +276,14 @@ def grad_hom_density(H: Graph, W: StepGraphon) -> np.ndarray:
     """
     n = W.n
     mu = W.measures
-    programs = _gradient_program(H, n)
-    # each pinned program runs on its own, so the costliest one is charged
-    cost = max((program.cost for program in programs), default=0.0)
+    plans = _gradient_program(H, n)
+    # each pinned plan runs on its own, so the costliest one is charged
+    cost = max((plan.cost for plan in plans), default=0.0)
     charge(cost, DEFAULT_CELL_BUDGET, "elimination plan", "cells")
     G = np.zeros((n, n))
     outer_mu = np.outer(mu, mu)
-    for program in programs:
-        scalar, factor = _run(program, W.values, mu)
+    for plan in plans:
+        scalar, factor = _run(plan, W.values, mu)
         T = scalar * factor * outer_mu
         S = T + T.T
         np.fill_diagonal(S, T.diagonal())

@@ -31,8 +31,8 @@ from .stepgraphon import StepGraphon
 CONDITION_LIMIT = 1e12
 PGD_MAX_ITERATIONS = 10**4
 PGD_STOP_TOL = 1e-10
-ARMIJO_SIGMA = 1e-4
-ARMIJO_FACTOR = 0.5
+ARMIJO_SIGMA = 1e-4  # sufficient-decrease coefficient
+ARMIJO_FACTOR = 0.5  # step shrink per backtrack
 
 
 @dataclass(eq=False)

@@ -48,7 +48,9 @@ import numpy as np
 
 from .density import grad_hom_density, hom_density, per_entry_gradient
 from .graphs import Graph, graph_to_json, subdivide
-from .localdensity import local_density_exact, local_density_subgradients
+from .localdensity import (
+    ARMIJO_FACTOR, ARMIJO_SIGMA, local_density_exact, local_density_subgradients
+)
 from .operators import path_power
 from .stepgraphon import (
     StepGraphon, _random_symmetric, _unchecked_graphon, _uniform_measures, graphon_to_json
@@ -60,8 +62,6 @@ LAMBDA_SCHEDULE = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 # 47-step ladder at once: a bigger block wastes more solves past the accepted
 # step, a smaller one pays the per-call overhead more often.
 LADDER_BLOCK = 8
-ARMIJO_SIGMA = 1e-4  # sufficient-decrease coefficient
-ARMIJO_FACTOR = 0.5  # step shrink per backtrack
 FEASIBILITY_TOL = 1e-6  # residuals up to this count as feasible
 STATIONARITY_TOL = 1e-10  # projected-step norm that ends a penalty level
 PROGRESS_TOL = 1e-11  # decrease below which an accepted step counts as stalled

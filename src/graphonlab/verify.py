@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +71,8 @@ class VerificationReport:
             "inputs_digest": self.inputs_digest,
             "computed_value": float(self.computed_value),
             "bound_value": float(self.bound_value),
-            "ratio": float(self.ratio),
+            # a zero bound gives an infinite ratio; inf is not valid JSON
+            "ratio": float(self.ratio) if math.isfinite(self.ratio) else None,
             "passed": bool(self.passed),
             "tolerance": float(self.tolerance),
             "metadata": _jsonable(self.metadata),

@@ -303,9 +303,119 @@ def test_compiled_engine_matches_interpretive_oracle(n):
                 assert math.isclose(t, naive, rel_tol=1e-12, abs_tol=0.0), case
 
 
+# --- one-pass planner against the two passes it replaced ---------------------------
+
+
+def _oracle_order(H, n, pinned):
+    """Greedy minimum-degree order by fill-in on adjacency sets alone."""
+    alive = set(range(H.vertex_count))
+    adj = {v: set() for v in alive}
+    for u, v in H.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    remaining = alive - set(pinned)
+    order, arities, cost = [], [], 0.0
+    while remaining:
+        v = min(remaining, key=lambda u: (len(adj[u]), u))
+        neigh = adj[v]
+        order.append(v)
+        arities.append(len(neigh) + 1)
+        cost += float(n) ** (len(neigh) + 1)
+        for a in neigh:
+            adj[a].discard(v)
+        for a in neigh:
+            for b in neigh:
+                if a != b:
+                    adj[a].add(b)
+        del adj[v]
+        remaining.discard(v)
+    return tuple(order), tuple(arities), cost
+
+
+def _oracle_plan(H, n, pinned=()):
+    """The order replayed on factor scopes: (order, arities, cost, steps,
+    tail slots, tail layouts), each step a density._Step."""
+    order, arities, cost = _oracle_order(H, n, pinned)
+    edges = H.edge_list
+    factors = [(edge, slot) for slot, edge in enumerate(edges)]
+    next_slot = len(edges)
+    steps = []
+    for v in order:
+        touching = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        if not touching:
+            steps.append(density._Step((), (), False, None, ()))
+            continue
+        union = sorted(set().union(*(vars_ for vars_, _ in touching)))
+        rest = tuple(w for w in union if w != v)
+        lead = bool(rest) and v == union[0]
+        axes = (v,) + rest if lead else rest + (v,)
+        out = None
+        if rest:
+            out = next_slot
+            next_slot += 1
+            factors.append((rest, out))
+        slots = tuple(slot for _, slot in touching)
+        steps.append(density._Step(slots, density._layouts(touching, axes, n), lead, out,
+                                   (n,) * len(rest)))
+    tail_slots = tuple(slot for _, slot in factors)
+    return order, arities, cost, tuple(steps), tail_slots, density._layouts(factors, pinned, n)
+
+
+def _relabelled(H, rng):
+    perm = [int(p) for p in rng.permutation(H.vertex_count)]
+    return Graph(H.vertex_count, [(perm[u], perm[v]) for u, v in H.edges])
+
+
+def _plan_oracle_patterns():
+    rng = np.random.default_rng(13)
+    patterns = dict(ORACLE_PATTERNS)
+    for i in range(6):
+        H = random_graph(rng, max_vertices=7)
+        isolated = int(rng.integers(1, 3))
+        patterns[f"random {i} + {isolated} isolated"] = _relabelled(
+            Graph(H.vertex_count + isolated, H.edges), rng
+        )
+    patterns["K4 subdivided, relabelled"] = _relabelled(subdivide(clique(4), 1), rng)
+    return patterns
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_one_pass_plan_matches_two_pass_oracle(n):
+    for hname, H in _plan_oracle_patterns().items():
+        # plain, each edge deleted and pinned as a gradient plans it, and
+        # each edge kept and pinned in reverse, so a tail factor is transposed
+        cases = [(H, ())]
+        for u, v in H.edge_list:
+            cases.append((Graph(H.vertex_count, H.edges - {(u, v)}), (u, v)))
+            cases.append((H, (v, u)))
+        for G, pinned in cases:
+            plan = plan_elimination.__wrapped__(G, n, pinned)
+            got = (plan.order, plan.arities, plan.cost, plan.steps,
+                   plan.tail_slots, plan.tail_layouts)
+            assert got == _oracle_plan(G, n, pinned), (hname, pinned)
+            assert plan.edge_count == G.edge_count and plan.pinned == pinned
+
+
+def test_second_density_call_is_a_plan_cache_hit():
+    # the plan cache is the one cache a density call consults, so a warm
+    # call counts as a hit and builds nothing
+    H = _relabelled(ORACLE_PATTERNS["K4 subdivided"], np.random.default_rng(29))
+    W = gen_random(3, seed=4)
+    plan_elimination.cache_clear()
+    first = hom_density(H, W)
+    cold = plan_elimination.cache_info()
+    layouts = density._layout.cache_info()
+    assert (cold.hits, cold.misses, cold.currsize) == (0, 1, 1)
+    assert hom_density(H, W) == first
+    warm = plan_elimination.cache_info()
+    assert (warm.hits, warm.misses, warm.currsize) == (1, 1, 1)
+    assert density._layout.cache_info() == layouts
+
+
 def test_gradient_programs_leave_plan_cache_alone():
-    # a gradient plans its edge-deleted graphs inside its own program, so
-    # fresh patterns add no plan-cache entry, and programs stay bounded
+    # a gradient plans its edge-deleted graphs inside its own cache entry,
+    # so fresh patterns add no plan-cache entry, and both caches stay bounded
     W = gen_random(3, seed=2)
     base = ORACLE_PATTERNS["K4 subdivided"]
     rng = np.random.default_rng(5)
@@ -316,7 +426,7 @@ def test_gradient_programs_leave_plan_cache_alone():
         grad_hom_density(H, W)
     assert plan_elimination.cache_info() == before
     assert density._gradient_program.cache_info().currsize <= PROGRAM_CACHE_SIZE
-    assert density._density_program.cache_info().currsize <= PROGRAM_CACHE_SIZE
+    assert plan_elimination.cache_info().currsize <= PROGRAM_CACHE_SIZE
 
 
 def _no_arithmetic(*args, **kwargs):
@@ -354,12 +464,12 @@ def test_budget_checked_before_any_arithmetic(monkeypatch):
             with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
                 grad_hom_density(H, W)
 
-    density._density_program.cache_clear()
+    plan_elimination.cache_clear()
     density._gradient_program.cache_clear()
     check_budget_errors()
     hom_density(H, W)
     grad_hom_density(H, W)
-    check_budget_errors()  # with both programs cached
+    check_budget_errors()  # with both plans cached
     # a budget equal to the cost passes
     with monkeypatch.context() as m:
         m.setenv("GRAPHONLAB_BUDGET", repr(cost))

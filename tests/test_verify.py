@@ -99,6 +99,23 @@ def test_report_dict_keeps_booleans():
     assert meta["registered"] is True
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not valid JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_zero_bound_ratio_is_null_in_json():
+    # d* = 0 on the bipartite graphon, so the bound d*^3 is 0 and the ratio
+    # is infinite; JSON has no Infinity, so it is written as null
+    r = check_knrs(clique(3), bipartite_graphon())
+    assert r.bound_value == 0.0 and r.ratio == float("inf")
+    assert r.to_dict()["ratio"] is None
+    doc = _strict_json(reports_to_json([r]))
+    assert doc["reports"][0]["ratio"] is None
+
+
 def test_weakly_knrs_fields():
     w = gen_random(3, seed=4, dirichlet_measures=True)
     r = check_weakly_knrs(clique(3), 1, w)
