@@ -16,12 +16,20 @@ transpose and broadcast shape that line each one up with the eliminated
 vertex on the summed axis.  A gradient holds one such plan per edge, with
 that edge deleted and its endpoints pinned.  Plans are cached by (pattern,
 n), so a call only runs array arithmetic: one product per step and one
-np.dot against the weights.  hom_density, hom_density_weighted and
-grad_hom_density, and through hom_density the walk-kernel shortcut, all run
-on this one engine.
+np.matmul against the weights.
+
+The engine (_run) runs a program over a stack of value matrices at once,
+behind a leading stack axis.  hom_densities and grad_hom_densities take
+such stacks, as the penalty search evaluates its trial points;
+hom_density, hom_density_weighted and grad_hom_density, and through
+hom_density the walk-kernel shortcut, are the stack of one.  np.matmul
+over the stack axis rounds each matrix as a lone np.dot would (a property
+of the numpy/BLAS build that the tests pin), so an entry of a stack is,
+bit for bit, the one-graphon result.
 
 Work is accounted in block-tensor cells touched; every call charges the
-plan's cell count to the budget (budget.charge) before any arithmetic runs.
+plan's cell count to the budget (budget.charge) before any arithmetic runs,
+once per stack: the budget caps the work on one matrix.
 """
 
 from __future__ import annotations
@@ -50,14 +58,15 @@ class _Step(NamedTuple):
     """One elimination step of a plan.
 
     slots are the factors touching the eliminated vertex, in factor-list
-    order, and layouts their (transpose permutation, broadcast shape); no
-    slots means an isolated vertex, which contributes the weight sum.  The
-    merged factor puts the eliminated vertex on its last axis, or on its
-    first when that vertex is the lowest of the step (lead), and np.dot then
-    gets its column-major transpose.  That is the layout np.tensordot would
-    pass; row- and column-major dot round differently, so this keeps results
-    bitwise equal to a tensordot contraction.  out is the slot receiving the
-    summed factor of shape out_shape, or None when the sum is a scalar.
+    order, and layouts their (transpose permutation, broadcast shape) behind
+    the stack axis; no slots means an isolated vertex, which contributes the
+    weight sum.  The merged factor puts the eliminated vertex on its last
+    axis, or on its first when that vertex is the lowest of the step (lead),
+    and np.matmul then gets its column-major transpose.  That is the layout
+    np.tensordot would pass; row- and column-major products round
+    differently, so this keeps results bitwise equal to a tensordot
+    contraction.  out is the slot receiving the summed factor, of shape
+    out_shape per matrix, or None when the sum is a scalar.
     """
 
     slots: tuple
@@ -90,12 +99,14 @@ class EliminationPlan:
 
 @lru_cache(maxsize=PROGRAM_CACHE_SIZE)
 def _layout(positions: tuple, width: int, n: int) -> tuple:
-    """(permutation, shape) broadcasting a factor whose axes go to positions
-    of a width-axis product; shared by every plan that needs it."""
+    """(permutation, shape) broadcasting a stack of factors, each with its
+    axes going to positions of a width-axis product, behind the leading
+    stack axis; shared by every plan that needs it."""
     shape = [1] * width
     for p in positions:
         shape[p] = n
-    return tuple(sorted(range(len(positions)), key=positions.__getitem__)), tuple(shape)
+    perm = sorted(range(len(positions)), key=positions.__getitem__)
+    return (0,) + tuple(p + 1 for p in perm), (-1,) + tuple(shape)
 
 
 def _layouts(factors, order: tuple, n: int) -> tuple:
@@ -168,16 +179,18 @@ def _gradient_program(H: Graph, n: int) -> tuple:
     )
 
 
-def _run(program: EliminationPlan, B: np.ndarray, weight: np.ndarray):
-    """Run program on value matrix B with the unary weight at every vertex.
+def _run(program: EliminationPlan, Bs: np.ndarray, weight: np.ndarray):
+    """Run program on each value matrix of the stack Bs (shape (k, n, n))
+    with the unary weight at every vertex.
 
-    Returns (scalar, factor over the pinned vertices); the factor is None
-    when nothing is pinned, and pinned weights are left to the caller.
+    Returns (scalars, factors over the pinned vertices), each with the stack
+    axis first; the factors are None when nothing is pinned, and pinned
+    weights are left to the caller.
     """
-    n = len(weight)
+    k, n = len(Bs), len(weight)
     column = weight.reshape(n, 1)
-    slots = [B] * program.edge_count + [None] * len(program.steps)
-    scalar = 1.0
+    slots = [Bs] * program.edge_count + [None] * len(program.steps)
+    scalar = np.ones(k)
     for step_slots, layouts, lead, out, out_shape in program.steps:
         if not step_slots:
             scalar *= float(weight.sum())
@@ -188,16 +201,16 @@ def _run(program: EliminationPlan, B: np.ndarray, weight: np.ndarray):
             slots[slot] = None
             merged = arr if merged is None else merged * arr
         merged = np.ascontiguousarray(merged)
-        matrix = merged.reshape(n, -1).T if lead else merged.reshape(-1, n)
-        summed = np.dot(matrix, column)
+        matrix = merged.reshape(k, n, -1).transpose(0, 2, 1) if lead else merged.reshape(k, -1, n)
+        summed = np.matmul(matrix, column)
         if out is None:
-            scalar *= float(summed[0, 0])
+            scalar *= summed[:, 0, 0]
         else:
-            slots[out] = summed.reshape(out_shape)
+            slots[out] = summed.reshape((k,) + out_shape)
     if not program.pinned:
         return scalar, None
     # seeded with ones: the tail may be empty (K2) or span one pinned vertex
-    factor = np.ones((n,) * len(program.pinned))
+    factor = np.ones((k,) + (n,) * len(program.pinned))
     for slot, (perm, shape) in zip(program.tail_slots, program.tail_layouts):
         factor = factor * slots[slot].transpose(perm).reshape(shape)
     return scalar, factor
@@ -208,20 +221,33 @@ def hom_density(H: Graph, W: StepGraphon) -> float:
     return hom_density_weighted(H, W, None)
 
 
+def _charged_plan(H: Graph, n: int) -> EliminationPlan:
+    plan = plan_elimination(H, n)
+    # a step touches n^arity cells and the plan's cost sums them over all
+    # steps, so passing this charge bounds the whole run on one matrix
+    charge(plan.cost, DEFAULT_CELL_BUDGET, "elimination plan", "cells")
+    return plan
+
+
 def hom_density_weighted(H: Graph, W: StepGraphon, omega) -> float:
     """Vertex-weighted density: each map picks up omega at every vertex."""
-    plan = plan_elimination(H, W.n)
-    # a step touches n^arity cells and the plan's cost sums them over all
-    # steps, so passing this charge bounds the whole run
-    charge(plan.cost, DEFAULT_CELL_BUDGET, "elimination plan", "cells")
+    plan = _charged_plan(H, W.n)
     if H.vertex_count == 0:
         return 1.0
     if omega is None:
         weight = W.measures
     else:
         weight = as_step_function(omega, W).values * W.measures
-    scalar, _ = _run(plan, W.values, weight)
-    return float(scalar)
+    scalars, _ = _run(plan, W.values[None], weight)
+    return float(scalars[0])
+
+
+def hom_densities(H: Graph, Bs: np.ndarray, measures: np.ndarray) -> np.ndarray:
+    """t(H, W) for each value matrix of the stack Bs (shape (k, n, n)), all
+    on the block measures given: bit for bit hom_density of the graphon
+    with those values and measures.  Nothing is validated; the matrices and
+    measures must be what StepGraphon stores."""
+    return _run(_charged_plan(H, len(measures)), Bs, measures)[0]
 
 
 def hom_density_naive(H: Graph, W: StepGraphon) -> float:
@@ -274,29 +300,37 @@ def grad_hom_density(H: Graph, W: StepGraphon) -> np.ndarray:
     controlling both values[i][j] and values[j][i]; off-diagonal entries
     therefore accumulate both orientations of every pinned edge.
     """
-    n = W.n
-    mu = W.measures
+    return grad_hom_densities(H, W.values[None], W.measures)[0]
+
+
+def grad_hom_densities(H: Graph, Bs: np.ndarray, measures: np.ndarray) -> np.ndarray:
+    """grad_hom_density for each value matrix of the stack Bs, as a stack,
+    on the block measures given; unvalidated, as in hom_densities."""
+    n = len(measures)
     plans = _gradient_program(H, n)
     # each pinned plan runs on its own, so the costliest one is charged
     cost = max((plan.cost for plan in plans), default=0.0)
     charge(cost, DEFAULT_CELL_BUDGET, "elimination plan", "cells")
-    G = np.zeros((n, n))
-    outer_mu = np.outer(mu, mu)
+    G = np.zeros((len(Bs), n, n))
+    outer_mu = np.outer(measures, measures)
+    diagonal = np.arange(n)
     for plan in plans:
-        scalar, factor = _run(plan, W.values, mu)
-        T = scalar * factor * outer_mu
-        S = T + T.T
-        np.fill_diagonal(S, T.diagonal())
+        scalars, factors = _run(plan, Bs, measures)
+        T = scalars[:, None, None] * factors * outer_mu
+        S = T + T.transpose(0, 2, 1)
+        S[:, diagonal, diagonal] = T[:, diagonal, diagonal]
         G += S
     return G
 
 
 def per_entry_gradient(G: np.ndarray) -> np.ndarray:
-    """Convert a symmetric-parameter gradient to its per-entry form.
+    """Convert a symmetric-parameter gradient, or a stack of them, to its
+    per-entry form.
 
     The per-entry matrix E satisfies d t(B + h D) / dh = sum_ij E_ij D_ij for
     symmetric directions D.
     """
     E = G / 2.0
-    np.fill_diagonal(E, np.diag(G))
+    diagonal = np.arange(G.shape[-1])
+    E[..., diagonal, diagonal] = G[..., diagonal, diagonal]
     return E

@@ -2,7 +2,8 @@
 
 The s-walk kernel W_s(x, y) integrates over the s-1 internal points of a walk
 of length s from x to y.  On step graphons this is exact matrix arithmetic:
-W_s = B (diag(mu) B)^(s-1).
+W_s = B (diag(mu) B)^(s-1).  path_powers computes it for a stack of value
+matrices at once, each bit for bit as path_power computes it alone.
 """
 
 from __future__ import annotations
@@ -41,29 +42,38 @@ class StepKernel:
         return len(self.measures)
 
 
-def _power_values(B: np.ndarray, mu: np.ndarray, s: int) -> np.ndarray:
-    out = B
-    step = mu[:, None] * B
+def _power_values(Bs: np.ndarray, mu: np.ndarray, s: int) -> np.ndarray:
+    out = Bs
+    step = mu[:, None] * Bs
     for _ in range(s - 1):
         out = out @ step
     return out
 
 
-def path_power(W: StepGraphon, s: int) -> StepGraphon:
-    """Walk kernel W_s as a step graphon on the same blocks; W_1 = W.
+def path_powers(Bs: np.ndarray, measures: np.ndarray, s: int) -> np.ndarray:
+    """The values of path_power for each value matrix of the stack Bs
+    (shape (k, n, n)), all on the block measures given, as a stack.  Nothing
+    is validated; the matrices and measures must be what StepGraphon stores.
 
-    Its s - 1 matrix products touch (s - 1) n^3 cells, as many as the
-    elimination engine counts for the same walk; they are charged first."""
+    Each matrix's s - 1 products touch (s - 1) n^3 cells, as many as the
+    elimination engine counts for the same walk; they are charged first,
+    once per stack."""
     if s < 1:
         raise ValueError("walk length must be at least 1")
-    charge((s - 1) * W.n**3, DEFAULT_CELL_BUDGET, f"walk power of length {s}", "cells")
-    out = _power_values(W.values, W.measures, s)
+    n = len(measures)
+    charge((s - 1) * n**3, DEFAULT_CELL_BUDGET, f"walk power of length {s}", "cells")
+    out = _power_values(Bs, measures, s)
     high = float(out.max(initial=0.0))
     if high > 1.0 + POWER_DRIFT_TOL:
         raise ValueError(f"walk power drifted above 1 by {high - 1.0:.3e}")
     # symmetric, nonnegative and at most 1 by construction
-    out = np.minimum((out + out.T) / 2.0, 1.0)
-    return _unchecked_graphon(out, W.measures)
+    return np.minimum((out + out.transpose(0, 2, 1)) / 2.0, 1.0)
+
+
+def path_power(W: StepGraphon, s: int) -> StepGraphon:
+    """Walk kernel W_s as a step graphon on the same blocks; W_1 = W.  Its
+    measures are W's, normalized once more as every graphon's are."""
+    return _unchecked_graphon(path_powers(W.values[None], W.measures, s)[0], W.measures)
 
 
 def path_function(W: StepGraphon, s: int) -> StepFunction:

@@ -17,25 +17,29 @@ compared by value.  The tolerance itself decides the feasible/infeasible
 flag, not which value wins.
 
 Each gradient step backtracks along eta = 1, 1/2, 1/4, ... (Armijo).  The
-local densities of the trial points, the dominant cost, are solved in
-batches: eta = 1 alone first, then the remaining steps LADDER_BLOCK at a time.
-The block is walked in order, the objective evaluated per step, and the first
-step the sequential sufficient-decrease rule accepts is taken, so the accepted
-eta, and with it the whole search path, is exactly that of trying one step at
-a time; solves past the accepted step are the price of batching.  Trial
-graphons skip the StepGraphon checks (their values are symmetric and clipped
-by construction); the reported best graphon is rebuilt and re-verified in
-full.
+trial points are evaluated in blocks: eta = 1 and the next LADDER_BLOCK steps
+first, then LADDER_BLOCK steps at a time.  The block is walked in order and
+the first step the sequential sufficient-decrease rule accepts is taken, so
+the accepted eta, and with it the whole search path, is exactly that of
+trying one step at a time; evaluations past the accepted step are the price
+of batching.  Trial points are bare value matrices (symmetric and clipped by
+construction), never StepGraphons; the reported best graphon is rebuilt and
+re-verified in full.
 
 The starts are independent, so they run in lockstep.  Each start is a
-generator (_start_path) that yields the stack it needs solved next (its start
-point, an eta = 1 trial or a ladder block); each round, _lockstep solves the
-pending stacks of all live starts as one local_density_subgradients call and
-sends every start its own slice.  A start leaves the round when its own rules
-end it.  The solver treats each matrix on its own, so every start's path is
-bit for bit the one it takes alone.  All starts track their points in one
-_Bests record, which ranks them by (value, start), so a tie goes to the
-earlier start as in a one-by-one run.
+generator (_start_path) that yields the stack of points it needs evaluated
+next (its start point or a ladder block), or its current point alone when it
+needs the objective's gradient there.  Each round, _lockstep concatenates the
+pending stacks of all live starts and makes one call per layer over them: the
+objective values, then the local densities (one local_density_subgradients
+call).  It sends every start its own slices, and the starts that then ask
+for a gradient (those that accepted a step or stand at their start point) get
+it from one stacked gradient call in the same round.  A start leaves the
+round when its own rules end it.  The objective, its gradient and the solver
+treat each matrix on its own, so every start's path is bit for bit the one
+it takes alone.  All starts track their points in one _Bests record, which
+ranks them by (value, start), so a tie goes to the earlier start as in a
+one-by-one run.
 """
 
 from __future__ import annotations
@@ -43,24 +47,24 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
+from itertools import accumulate
 
 import numpy as np
 
-from .density import grad_hom_density, hom_density, per_entry_gradient
+from .density import grad_hom_densities, hom_densities, hom_density, per_entry_gradient
 from .graphs import Graph, graph_to_json, subdivide
 from .localdensity import (
     ARMIJO_FACTOR, ARMIJO_SIGMA, local_density_exact, local_density_subgradients
 )
-from .operators import path_power
-from .stepgraphon import (
-    StepGraphon, _random_symmetric, _unchecked_graphon, _uniform_measures, graphon_to_json
-)
+from .operators import path_powers
+from .stepgraphon import StepGraphon, _random_symmetric, _uniform_measures, graphon_to_json
 
 LAMBDA_SCHEDULE = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
-# Backtracking steps solved per batch after eta = 1.  On the benchmark's
-# n = 4 search workload, blocks of 8 beat blocks of 4 or 16 and the whole
-# 47-step ladder at once: a bigger block wastes more solves past the accepted
-# step, a smaller one pays the per-call overhead more often.
+# Backtracking steps evaluated per block; the first block also holds eta = 1,
+# which is often accepted.  On the benchmark's n = 4 search workload, blocks
+# of 8 beat blocks of 4 or 16 and the whole 47-step ladder at once: a bigger
+# block wastes more evaluations past the accepted step, a smaller one pays
+# the per-call overhead more often.
 LADDER_BLOCK = 8
 FEASIBILITY_TOL = 1e-6  # residuals up to this count as feasible
 STATIONARITY_TOL = 1e-10  # projected-step norm that ends a penalty level
@@ -114,14 +118,14 @@ class SearchResult:
 
 def _armijo_ladder() -> list:
     """The backtracking steps eta = 1, ARMIJO_FACTOR, ARMIJO_FACTOR^2, ...
-    (while above 1e-14) as the arrays they are solved in: eta = 1 alone, since
-    it is often accepted, then LADDER_BLOCK steps at a time."""
+    (while above 1e-14) as the arrays they are evaluated in: eta = 1 and the
+    next LADDER_BLOCK steps, then LADDER_BLOCK steps at a time."""
     etas = []
     eta = 1.0
     while eta > 1e-14:
         etas.append(eta)
         eta *= ARMIJO_FACTOR
-    return np.split(np.array(etas), range(1, len(etas), LADDER_BLOCK))
+    return np.split(np.array(etas), range(LADDER_BLOCK + 1, len(etas), LADDER_BLOCK))
 
 
 ARMIJO_LADDER = _armijo_ladder()
@@ -161,22 +165,21 @@ class _Bests:
             self.least = (residual, start, B.copy(), value)
 
 
-def _start_path(start: int, B0: np.ndarray, value_fn, grad_fn, d: float, cfg: SearchConfig, bests):
+def _start_path(start: int, B0: np.ndarray, d: float, cfg: SearchConfig, bests):
     """One start of the penalty search as a generator.  It yields each stack
-    of value matrices whose local densities it needs (its start point, then
-    each eta = 1 trial and each further block of the Armijo ladder), is sent
-    back their local_density_subgradients pairs, tracks every point it visits
-    in bests, and returns its trajectory."""
-    n = len(B0)
-    mu = _uniform_measures(n)
+    of value matrices it needs evaluated (its start point, then each block
+    of the Armijo ladder) and is sent back their objective values and
+    local_density_subgradients pairs; it yields its current point alone when
+    it needs the objective's per-entry gradient there, and is sent back that
+    gradient.  It tracks every point it visits in bests, and returns its
+    trajectory."""
     B = np.clip((B0 + B0.T) / 2.0, 0.0, 1.0)
     trajectory = []
     global_iter = 0
 
-    W = StepGraphon(B, mu)
-    value = value_fn(W)
-    ((P, cert),) = yield W.values[None]
+    (value,), ((P, cert),) = yield B[None]
     residual = max(0.0, d - cert.d_star)
+    G = None  # the objective's gradient at B, asked for when first needed
     for lam in cfg.lambda_schedule:
         stalled = 0
         for _ in range(cfg.inner_iterations):
@@ -184,21 +187,17 @@ def _start_path(start: int, B0: np.ndarray, value_fn, grad_fn, d: float, cfg: Se
             bests.track(start, value, B, residual)
             if global_iter % LOG_EVERY == 0:
                 trajectory.append((global_iter, penalized, residual))
-            E = grad_fn(W)
-            if residual > 0.0:
-                E = E - 2.0 * lam * residual * P
+            if G is None:
+                G = yield B
+            E = G - 2.0 * lam * residual * P if residual > 0.0 else G
             mapped = np.clip(B - E, 0.0, 1.0)
             if float(np.linalg.norm(B - mapped)) <= STATIONARITY_TOL:
                 break
             accepted = None
             for etas in ARMIJO_LADDER:
                 trials = np.clip(B - etas[:, None, None] * E, 0.0, 1.0)
-                solved = yield trials
-                for eta, Bn, (Pn, cert) in zip(etas, trials, solved):
-                    # symmetric and clipped by construction, so the
-                    # constructor's checks would change nothing
-                    Wn = _unchecked_graphon(Bn, mu)
-                    vn = value_fn(Wn)
+                values, solved = yield trials
+                for eta, Bn, vn, (Pn, cert) in zip(etas, trials, values, solved):
                     rn = max(0.0, d - cert.d_star)
                     fn = vn + lam * rn**2
                     step = Bn - B
@@ -207,13 +206,14 @@ def _start_path(start: int, B0: np.ndarray, value_fn, grad_fn, d: float, cfg: Se
                     if fn < penalized and fn <= penalized - (
                         ARMIJO_SIGMA / eta
                     ) * float(np.sum(step * step)):
-                        accepted = (Bn, Wn, vn, Pn, rn)
+                        accepted = (Bn, vn, Pn, rn)
                         break
                 if accepted is not None:
                     break
             if accepted is None:
                 break
-            B, W, value, P, residual = accepted
+            B, value, P, residual = accepted
+            G = None
             global_iter += 1
             # give up on this penalty level once accepted steps stop
             # making measurable progress; the cap alone would burn the
@@ -231,26 +231,40 @@ def _start_path(start: int, B0: np.ndarray, value_fn, grad_fn, d: float, cfg: Se
     return trajectory
 
 
-def _lockstep(paths: list) -> list:
+def _lockstep(paths: list, value_fn, grad_fn) -> list:
     """Run the _start_path generators together; their trajectories, in order.
 
-    Each round concatenates the pending stacks of every live start into one
-    local_density_subgradients call and sends each start its own slice.  A
-    start leaves when its own rules end it.  The solver treats each matrix
-    on its own, so every start takes, bit for bit, the path it takes alone."""
+    value_fn maps a stack of value matrices to their objective values and
+    grad_fn to their per-entry gradients.  Each round concatenates the
+    pending stacks of every live start, evaluates them with one value_fn
+    call and then one local_density_subgradients call, and sends each start
+    its own slices.  The starts that then ask for a gradient get it from one
+    grad_fn call over their points before the next round.  A start leaves
+    when its own rules end it.  Every call treats each matrix on its own, so
+    every start takes, bit for bit, the path it takes alone."""
     trajectories = [None] * len(paths)
-    pending = [(i, next(path)) for i, path in enumerate(paths)]
-    while pending:
-        solved = local_density_subgradients(np.concatenate([stack for _, stack in pending]))
-        live = []
-        at = 0
-        for i, stack in pending:
+    asks = {i: next(path) for i, path in enumerate(paths)}  # in start order
+
+    def answer(starts: list, replies) -> None:
+        for i, reply in zip(starts, replies):
             try:
-                live.append((i, paths[i].send(solved[at : at + len(stack)])))
+                asks[i] = paths[i].send(reply)
             except StopIteration as stop:
                 trajectories[i] = stop.value
-            at += len(stack)
-        pending = live
+                del asks[i]
+
+    while asks:
+        points = [i for i, ask in asks.items() if ask.ndim == 2]
+        if points:
+            answer(points, grad_fn(np.stack([asks[i] for i in points])))
+            continue
+        starts = list(asks)
+        Bs = np.concatenate([asks[i] for i in starts])
+        # charged before the solver, as a lone start evaluates before it solves
+        values = value_fn(Bs).tolist()
+        solved = local_density_subgradients(Bs)
+        bounds = [0, *accumulate(len(asks[i]) for i in starts)]
+        answer(starts, [(values[a:b], solved[a:b]) for a, b in zip(bounds, bounds[1:])])
     return trajectories
 
 
@@ -267,9 +281,11 @@ def _penalty_search(
     bound: float,
     weak_bound: float | None = None,
 ) -> SearchResult:
-    """grad_fn(W) returns the per-entry gradient of value_fn (see
-    per_entry_gradient).  The result's config echoes task, then the pattern
-    H, d, n and every SearchConfig field."""
+    """value_fn(Bs, measures) returns the objective at each value matrix of
+    the stack Bs, all on the block measures given, and grad_fn(Bs, measures)
+    its per-entry gradients (see per_entry_gradient); verify_fn(W) recomputes
+    the objective of a graphon by another route.  The result's config echoes
+    task, then the pattern H, d, n and every SearchConfig field."""
     if not 0.0 < d < 1.0:
         raise ValueError("target density must lie in (0, 1)")
     if cfg.starts < 1:
@@ -280,6 +296,7 @@ def _penalty_search(
     if cfg.inner_iterations < 0:
         raise ValueError("inner_iterations must be non-negative")
     mu = _uniform_measures(n)
+    measures = mu / float(mu.sum())  # as StepGraphon normalizes them
     rng = np.random.default_rng(seed)
 
     starts = []
@@ -289,7 +306,9 @@ def _penalty_search(
         starts.append(_random_symmetric(rng, n))
     bests = _Bests()
     trajectories = _lockstep(
-        [_start_path(i, B0, value_fn, grad_fn, d, cfg, bests) for i, B0 in enumerate(starts)]
+        [_start_path(i, B0, d, cfg, bests) for i, B0 in enumerate(starts)],
+        lambda Bs: value_fn(Bs, measures),
+        lambda Bs: grad_fn(Bs, measures),
     )
 
     best, near = bests.best, bests.near
@@ -297,7 +316,7 @@ def _penalty_search(
         value, start_index, B, residual = near
         restored = _restore_feasibility(B, d - residual, d)
         W = StepGraphon(restored, mu)
-        vr = value_fn(W)
+        vr = float(value_fn(W.values[None], W.measures)[0])
         rr = max(0.0, d - local_density_exact(W).d_star)
         if rr == 0.0 and (best is None or vr < best[0]):
             best = (vr, start_index, restored, rr)
@@ -340,8 +359,8 @@ def minimize_hom_density(
     return _penalty_search(
         task={"task": "minimize_hom_density"},
         H=H,
-        value_fn=lambda W: hom_density(H, W),
-        grad_fn=lambda W: per_entry_gradient(grad_hom_density(H, W)),
+        value_fn=lambda Bs, mu: hom_densities(H, Bs, mu),
+        grad_fn=lambda Bs, mu: per_entry_gradient(grad_hom_densities(H, Bs, mu)),
         verify_fn=lambda W: hom_density(H, W),
         d=d,
         n=n,
@@ -369,25 +388,26 @@ def probe_even_subdivision(
     c_H = 0.5 ** (H.vertex_count + 2 * k * e)
     subdivided = subdivide(H, 2 * k)
 
-    def value_fn(W: StepGraphon) -> float:
-        return hom_density(H, path_power(W, m))
+    # path_power's kernel carries the graphon's measures normalized once
+    # more, and its density and gradient see those; that renormalization can
+    # move a bit, even of uniform measures (n = 6 or 7, say)
+    def value_fn(Bs: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        return hom_densities(H, path_powers(Bs, mu, m), mu / float(mu.sum()))
 
-    def grad_fn(W: StepGraphon) -> np.ndarray:
-        V = path_power(W, m)
-        Ev = per_entry_gradient(grad_hom_density(H, V))
-        B = W.values
-        mu = W.measures
-        C = mu[:, None] * B
-        D = B * mu[None, :]
-        c_pow = [np.eye(W.n)]
-        d_pow = [np.eye(W.n)]
+    def grad_fn(Bs: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        V = path_powers(Bs, mu, m)
+        Ev = per_entry_gradient(grad_hom_densities(H, V, mu / float(mu.sum())))
+        C = mu[:, None] * Bs
+        D = Bs * mu[None, :]
+        c_pow = [np.eye(len(mu))]
+        d_pow = [np.eye(len(mu))]
         for _ in range(m - 1):
             c_pow.append(c_pow[-1] @ C)
             d_pow.append(d_pow[-1] @ D)
-        P = np.zeros_like(B)
+        P = np.zeros_like(Bs)
         for p in range(1, m + 1):
             P += c_pow[p - 1] @ Ev @ d_pow[m - p]
-        return (P + P.T) / 2.0
+        return (P + P.transpose(0, 2, 1)) / 2.0
 
     return _penalty_search(
         task={"task": "probe_even_subdivision", "k": int(k)},

@@ -164,6 +164,29 @@ def test_density_budget_env_exit_3(runner):
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ([], "error: elimination plan needs 84 cells, budget 10"),
+        (["--probe-k", "1"], "error: walk power of length 3 needs 128 cells, budget 10"),
+    ],
+    ids=["minimize", "probe"],
+)
+def test_search_budget_charges_values_before_the_solver(runner, extra, message):
+    # the solver's 2^4 supports would also exceed the budget: the objective's
+    # plan (K3 at n = 4: 64 + 16 + 4 cells) or walk power (2 * 4^3 cells) is
+    # charged first, once per stack of trial points
+    res = runner.invoke(
+        cli,
+        ["search", "--pattern", "clique:3", "--d", "0.5", "--n", "4", "--starts", "2",
+         "--inner-iterations", "2", *extra],
+        env={"GRAPHONLAB_BUDGET": "10"},
+    )
+    assert res.exit_code == 3, res.output
+    assert res.stderr.splitlines() == [message]
+    assert res.stdout == ""
+
+
 @pytest.mark.parametrize("value", ["abc", "", "nan", "inf", "-inf", "0", "-5"])
 @pytest.mark.parametrize(
     "args",

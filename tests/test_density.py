@@ -26,11 +26,15 @@ from graphonlab import (
     hom_density_subdivided,
     hom_density_weighted,
     path_graph,
+    path_power,
     per_entry_gradient,
     subdivide,
 )
 from graphonlab import density
-from graphonlab.density import PROGRAM_CACHE_SIZE, plan_elimination
+from graphonlab.density import (
+    PROGRAM_CACHE_SIZE, grad_hom_densities, hom_densities, plan_elimination
+)
+from graphonlab.operators import path_powers
 from graphonlab.stepgraphon import as_step_function
 
 RNG_SEEDS = st.integers(0, 2**31 - 1)
@@ -301,6 +305,67 @@ def test_compiled_engine_matches_interpretive_oracle(n):
             if n**H.vertex_count <= 50_000:
                 naive = hom_density_naive(H, W)
                 assert math.isclose(t, naive, rel_tol=1e-12, abs_tol=0.0), case
+
+
+# --- stacked calls against the one-graphon calls they stack -------------------------
+
+
+STACK_PATTERNS = {
+    **ORACLE_PATTERNS,
+    "K3 2-subdivided": subdivide(clique(3), 2),
+    "K4 1-subdivided": subdivide(clique(4), 1),
+    "3 isolated": Graph(3, []),
+    "empty": Graph(0, []),
+}
+STACK_SIZES = (1, 2, 5, 17, 64)
+
+
+def _random_values(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """k symmetric matrices in [0, 1], some with exact zeros and ones."""
+    values = rng.uniform(0.0, 1.0, size=(k, n, n))
+    values[rng.random((k, n, n)) < 0.1] = 0.0
+    values[rng.random((k, n, n)) < 0.1] = 1.0
+    upper = np.triu(values)
+    return upper + np.triu(upper, 1).transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_stacked_calls_match_one_graphon_calls_bitwise(n):
+    """hom_densities, grad_hom_densities and path_powers against hom_density,
+    grad_hom_density and path_power per matrix, with the stack's measures
+    those of the graphons: uniform (whose renormalization moves a bit at
+    n = 6 and 7) and Dirichlet.  Bit equality holds because np.matmul over a
+    stack rounds each matrix as a lone product does; that is a property of
+    this numpy/BLAS build, not of floating point, so this test pins it."""
+    rng = np.random.default_rng([2025, n])
+    for mname, mu in (("uniform", np.full(n, 1.0 / n)), ("dirichlet", rng.dirichlet(np.ones(n)))):
+        for i, (hname, H) in enumerate(STACK_PATTERNS.items()):
+            k = STACK_SIZES[(n + i) % len(STACK_SIZES)]
+            Ws = [StepGraphon(values, mu) for values in _random_values(rng, n, k)]
+            Bs, measures = np.stack([W.values for W in Ws]), Ws[0].measures
+            case = (mname, hname, k)
+            want = [hom_density(H, W) for W in Ws]
+            assert hom_densities(H, Bs, measures).tolist() == want, case
+            want = np.stack([grad_hom_density(H, W) for W in Ws])
+            assert np.array_equal(grad_hom_densities(H, Bs, measures), want), case
+            s = 1 + i % 5
+            want = np.stack([path_power(W, s).values for W in Ws])
+            assert np.array_equal(path_powers(Bs, measures, s), want), case
+
+
+def test_stacked_calls_charge_once_per_stack(monkeypatch):
+    # the budget caps the work on one matrix, however many are stacked
+    H, n = clique(3), 4
+    Bs = _random_values(np.random.default_rng(3), n, 64)
+    mu = np.full(n, 1.0 / n)
+    cost = plan_elimination(H, n).cost
+    monkeypatch.setenv("GRAPHONLAB_BUDGET", repr(cost))
+    hom_densities(H, Bs, mu)
+    grad_hom_densities(H, Bs, mu)
+    path_powers(Bs, mu, 2)  # n^3 cells
+    monkeypatch.setenv("GRAPHONLAB_BUDGET", repr(cost - 1))
+    with pytest.raises(BudgetExceededError, match="^elimination plan needs 84 cells"):
+        hom_densities(H, Bs[:1], mu)
 
 
 # --- one-pass planner against the two passes it replaced ---------------------------
