@@ -62,9 +62,9 @@ from .stepgraphon import StepGraphon, _random_symmetric, _uniform_measures, grap
 LAMBDA_SCHEDULE = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 # Backtracking steps evaluated per block; the first block also holds eta = 1,
 # which is often accepted.  On the benchmark's n = 4 search workload, blocks
-# of 8 beat blocks of 4 or 16 and the whole 47-step ladder at once: a bigger
-# block wastes more evaluations past the accepted step, a smaller one pays
-# the per-call overhead more often.
+# of 8 beat blocks of 4 or 16 and the whole 47-step ladder at once (12 ties
+# with 8): a bigger block wastes more evaluations past the accepted step, a
+# smaller one pays the per-call overhead more often.
 LADDER_BLOCK = 8
 FEASIBILITY_TOL = 1e-6  # residuals up to this count as feasible
 STATIONARITY_TOL = 1e-10  # projected-step norm that ends a penalty level
