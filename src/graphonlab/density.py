@@ -204,7 +204,7 @@ def _run(program: EliminationPlan, Bs: np.ndarray, weight: np.ndarray):
         matrix = merged.reshape(k, n, -1).transpose(0, 2, 1) if lead else merged.reshape(k, -1, n)
         summed = np.matmul(matrix, column)
         if out is None:
-            scalar *= summed[:, 0, 0]
+            scalar = scalar * summed[:, 0, 0]
         else:
             slots[out] = summed.reshape((k,) + out_shape)
     if not program.pinned:

@@ -1,5 +1,7 @@
+import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -351,6 +353,21 @@ def test_stacked_calls_match_one_graphon_calls_bitwise(n):
             s = 1 + i % 5
             want = np.stack([path_power(W, s).values for W in Ws])
             assert np.array_equal(path_powers(Bs, measures, s), want), case
+
+
+def test_engine_runs_on_fraction_entries():
+    # the programs also run on exact Fraction object arrays; K3's one scalar
+    # step meets the float 1.0 seed last, so the result is the exact density
+    # rounded once
+    W = gen_random(3, seed=8)
+    B = np.array([[Fraction(x) for x in row] for row in W.values], dtype=object)
+    mu = np.array([Fraction(x) for x in W.measures], dtype=object)
+    exact = sum(
+        B[a, b] * B[a, c] * B[b, c] * mu[a] * mu[b] * mu[c]
+        for a, b, c in itertools.product(range(3), repeat=3)
+    )
+    scalars, _ = density._run(plan_elimination(clique(3), 3), B[None], mu)
+    assert scalars.tolist() == [float(exact)]
 
 
 def test_stacked_calls_charge_once_per_stack(monkeypatch):
