@@ -188,6 +188,9 @@ def _run(program: EliminationPlan, Bs: np.ndarray, weight: np.ndarray):
     weights are left to the caller.
     """
     k, n = len(Bs), len(weight)
+    if k == 0:
+        # reshape cannot infer the axes of an empty stack
+        return np.zeros(0), np.zeros((0,) + (n,) * len(program.pinned)) if program.pinned else None
     column = weight.reshape(n, 1)
     slots = [Bs] * program.edge_count + [None] * len(program.steps)
     scalar = np.ones(k)

@@ -32,7 +32,7 @@ from graphonlab import (
     per_entry_gradient,
     subdivide,
 )
-from graphonlab import density
+from graphonlab import density, localdensity
 from graphonlab.density import (
     PROGRAM_CACHE_SIZE, grad_hom_densities, hom_densities, plan_elimination
 )
@@ -353,6 +353,19 @@ def test_stacked_calls_match_one_graphon_calls_bitwise(n):
             s = 1 + i % 5
             want = np.stack([path_power(W, s).values for W in Ws])
             assert np.array_equal(path_powers(Bs, measures, s), want), case
+
+
+@pytest.mark.parametrize("n", (1, 3, 9))
+def test_stacked_calls_on_an_empty_stack(n, monkeypatch):
+    # each stacked API gives an empty stack of its result's shape; the exact
+    # solver's locate pass, with its threshold patched down, sees it too
+    monkeypatch.setattr(localdensity, "LOCATE_MIN_BLOCKS", 2)
+    Bs, measures = np.zeros((0, n, n)), np.full(n, 1.0 / n)
+    for H in STACK_PATTERNS.values():
+        assert hom_densities(H, Bs, measures).shape == (0,)
+        assert grad_hom_densities(H, Bs, measures).shape == (0, n, n)
+    assert path_powers(Bs, measures, 3).shape == (0, n, n)
+    assert localdensity.local_density_subgradients(Bs) == []
 
 
 def test_engine_runs_on_fraction_entries():

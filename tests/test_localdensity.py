@@ -522,6 +522,125 @@ def test_svd_only_for_rows_the_bound_cannot_clear(monkeypatch):
     assert 0 < kept < sum(rows for _, rows in calls)  # the SVD decided both ways
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_parents_are_the_supports_without_their_last_index(n):
+    classes = [np.arange(n)[:, None]] + list(localdensity._supports_by_cardinality(n))
+    for (parents, border, last), (before, combos) in zip(localdensity._parents(n), zip(classes, classes[1:])):
+        assert np.array_equal(before[parents], combos[:, :-1])
+        assert np.array_equal(border[:, 1:], combos[:, :-1]) and np.all(border[:, 0] == n)
+        assert np.array_equal(last, combos[:, -1])
+
+
+def _solved(mp, Bs, tie_tol):
+    """(P, d*, witness, tie-set size) per matrix of the stack Bs: the public
+    stacked call, and the size of the tie set its _certified_stack gave it
+    (read through a spy patched in on mp)."""
+    certified_stack = localdensity._certified_stack
+    seen = []
+
+    def spy(Bs, tie_tol):
+        seen.append(certified_stack(Bs, tie_tol))
+        return seen[-1]
+
+    mp.setattr(localdensity, "_certified_stack", spy)
+    pairs = local_density_subgradients(Bs, tie_tol)
+    mp.setattr(localdensity, "_certified_stack", certified_stack)
+    owner, values, _, best = seen[0]
+    ties = np.bincount(owner[values <= values[best][owner] + tie_tol], minlength=len(Bs))
+    return [(P, cert.d_star, cert.witness, int(size)) for (P, cert), size in zip(pairs, ties)]
+
+
+def _assert_located_matches_full(mp, Bs):
+    """Located results (LOCATE_MIN_BLOCKS patched to 2 on mp) are bit for bit
+    those of full enumeration: the stacked subgradients with their tie sets
+    at three tie tolerances, and local_density_exact."""
+    runs = {}
+    for threshold in (math.inf, 2):
+        mp.setattr(localdensity, "LOCATE_MIN_BLOCKS", threshold)
+        runs[threshold] = {tie_tol: _solved(mp, Bs, tie_tol) for tie_tol in (0.0, 1e-10, 1e-6)}
+    for tie_tol, want_rows in runs[math.inf].items():
+        for j, (got, want) in enumerate(zip(runs[2][tie_tol], want_rows)):
+            (P, d_star, witness, ties), (P_want, d_want, witness_want, ties_want) = got, want
+            assert np.array_equal(P, P_want), (tie_tol, j)
+            assert d_star == d_want and np.array_equal(witness, witness_want), (tie_tol, j)
+            assert ties == ties_want, (tie_tol, j)
+    n = Bs.shape[1]
+    for j, B in enumerate(Bs):
+        cert = local_density_exact(StepGraphon(B, np.full(n, 1.0 / n)))
+        _, d_want, witness_want, _ = runs[math.inf][0.0][j]
+        assert cert.d_star == d_want and np.array_equal(cert.witness, witness_want), j
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_located_matches_full_enumeration(n, monkeypatch):
+    Bs = _oracle_inputs(np.random.default_rng(400 + n), n)
+    _assert_located_matches_full(monkeypatch, Bs)
+
+
+DRAWN_FAMILIES = ("uniform", "constant", "duplicated", "zero_one", "rounded", "near_limit", "zero_diagonal")
+
+
+def _drawn_matrix(rng, n, family):
+    uniform = _symmetric(rng.uniform(size=(n, n)))
+    if family == "constant":
+        return float(rng.uniform(0.1, 0.9)) + _symmetric(rng.choice([-1e-13, 0.0, 1e-13], size=(n, n)))
+    if family == "duplicated":  # some blocks repeat others
+        blocks = rng.integers(0, n, size=n)
+        return uniform[np.ix_(blocks, blocks)]
+    if family == "zero_one":
+        return _symmetric(rng.integers(0, 2, size=(n, n)).astype(float))
+    if family == "rounded":
+        return np.round(uniform, 1)
+    if family == "near_limit":
+        return 0.5 + 1e-11 * _symmetric(rng.uniform(-1.0, 1.0, size=(n, n)))
+    if family == "zero_diagonal":
+        np.fill_diagonal(uniform, np.where(rng.random(n) < 0.5, 0.0, np.diag(uniform)))
+    return uniform
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 11), st.lists(st.sampled_from(DRAWN_FAMILIES), min_size=1, max_size=6), RNG_SEEDS)
+def test_located_matches_full_enumeration_on_drawn_stacks(n, families, seed):
+    rng = np.random.default_rng(seed)
+    Bs = np.array([_drawn_matrix(rng, n, family) for family in families])
+    with pytest.MonkeyPatch.context() as mp:
+        _assert_located_matches_full(mp, Bs)
+
+
+def _spy_solver_passes(monkeypatch) -> tuple:
+    """Patch _locate and _candidate_arrays to record their calls: the stack
+    sizes located, and the rows certified per call (None for every row)."""
+    locate, candidate_arrays = localdensity._locate, localdensity._candidate_arrays
+    located, certified = [], []
+
+    def locate_spy(Bs):
+        located.append(len(Bs))
+        return locate(Bs)
+
+    def candidate_arrays_spy(Bs, rows=None):
+        certified.append(None if rows is None else sum(len(chosen) for chosen in rows))
+        return candidate_arrays(Bs, rows)
+
+    monkeypatch.setattr(localdensity, "_locate", locate_spy)
+    monkeypatch.setattr(localdensity, "_candidate_arrays", candidate_arrays_spy)
+    return located, certified
+
+
+def test_locate_only_from_the_threshold_on(monkeypatch):
+    located, certified = _spy_solver_passes(monkeypatch)
+    rng = np.random.default_rng(23)
+    # the search's case: a stack of uniform random matrices at n = 4 solves
+    # every support, as before the locate pass
+    assert 4 < localdensity.LOCATE_MIN_BLOCKS <= 12
+    local_density_subgradients(np.array([_symmetric(rng.uniform(size=(4, 4))) for _ in range(36)]))
+    assert located == [] and certified == [None]
+    n = 12
+    local_density_exact(StepGraphon(_symmetric(rng.uniform(size=(n, n))), np.full(n, 1.0 / n)))
+    assert located == [1]
+    # the pairs, and few of the other 2^n - 1 - n - n(n - 1)/2 supports
+    assert n * (n - 1) // 2 <= sum(certified[1:]) < (2**n - 1 - n) / 20
+
+
 def test_is_locally_dense():
     w = constant(0.5, blocks=2)
     assert is_locally_dense(w, 0.5)
