@@ -7,35 +7,31 @@ reduces this to minimizing x^T B x over the probability simplex.
 
 The minimum of a quadratic over the simplex is attained either at a vertex or
 at a point in the relative interior of a face where the equality-constrained
-stationarity system holds.  Enumerating every support therefore yields the
-exact optimum: boundary minimizers of one face reappear as interior or vertex
-candidates of a sub-face, so singular or ill-conditioned stationarity systems
-can be skipped safely.  Every support's system is solved first, and only the
-solutions that are strictly interior are gated by condition number.  A
-determinant bound clears almost all of them; the condition number itself, an
-SVD, is computed only for the few the bound cannot clear.
+stationarity system holds.  Only some faces can hold a minimizer.  If x is a
+local minimizer and i, j lie in its support, e_i - e_j is a feasible direction
+both ways, so the curvature along it, c_ij = b_ii + b_jj - 2 b_ij, is not
+negative.  The support of every local minimizer, and so of every global one,
+is therefore a clique of the convexity graph: the graph on the blocks with an
+edge wherever c_ij >= 0 (Scozzari and Tardella, "A clique algorithm for
+standard quadratic programming", Discrete Appl. Math. 156, 2008).  The exact
+solver decides each edge exactly, grows the cliques class by class from the
+smaller ones, and solves the stationarity system of every clique support and
+of every pair.  No other support is visited.  On uniform random matrices of 14
+blocks 62 to 223 of the 16 383 supports were cliques (five seeds); on a
+constant graphon or a walk kernel W_7 nearly all are.
 
-From LOCATE_MIN_BLOCKS blocks on, the solve is locate-then-certify.
-
-* Locate: every support's KKT inverse is grown from its parent's (the
-  support without its last index) by a bordered update, O(r^2) per support
-  where an LU costs O(r^3).  This gives an approximate value, the smallest
-  component of the approximate solution, and the pivot of each support.
-* Trust: a support whose pivot is not finite, is tiny next to the terms
-  that make it, or whose inverse grows too large, is untrusted, and so is
-  every support grown from it.  A trusted support carries an error margin.
-* Certify: the one enumerator, _candidate_arrays, solves with its own
-  arithmetic (stacked solve, gate, values) only every pair, every untrusted
-  support, and every trusted support that may be interior and within the
-  tie tolerance plus its margin of an upper bound on the optimum.  The pairs
-  are all certified because the summation order of a pair's value depends
-  on how many pair candidates its matrix keeps.  A matrix whose certified
-  optimum exceeds the bound is certified again over the band of its
-  certified optimum.
-The candidates certified are bits of the full enumeration in its order, and
-they hold the argmin and every candidate within the tie tolerance, so values,
-witnesses and tie sets are those of full enumeration.  Below the threshold
-the locate pass costs more than it saves, and every support is solved.
+An exactly singular stationarity system can be skipped: its face then holds
+either no interior stationary point or a line of them, and in both cases the
+face's minimum is attained on a sub-face too, whose support is enumerated.
+Every system is solved first, and only the solutions that are strictly
+interior are gated by condition number.  A determinant bound clears almost
+all of them; the condition number itself, an SVD, is computed only for the few
+the bound cannot clear.  Dropping an ill-conditioned but regular system is
+not safe in the same way.  For W = 0.5 J + 1e-12 I on n uniform blocks the
+minimum 0.5 + 1e-12 / n is attained only at the barycenter, whose system (and
+every pair's) the gate drops, so the solver returns a vertex, 0.5 + 1e-12:
+6.7e-13 too high at n = 3 (ROADMAP.md, "Certify what the condition gate
+drops").
 """
 
 from __future__ import annotations
@@ -51,10 +47,6 @@ from .budget import DEFAULT_ESTIMATE_BUDGET, DEFAULT_GRID_BUDGET, DEFAULT_SUPPOR
 from .stepgraphon import StepGraphon
 
 CONDITION_LIMIT = 1e12
-LOCATE_MIN_BLOCKS = 10  # below this many blocks every support is certified
-PIVOT_TOLERANCE = 1e-6  # a smaller pivot, relative to its terms, is untrusted
-GROWTH_LIMIT = 1e6  # a KKT inverse this large in max norm is untrusted
-LOCATE_SAFETY = 1e3  # margin over the modelled error of a located support
 PGD_MAX_ITERATIONS = 10**4
 PGD_STOP_TOL = 1e-10
 ARMIJO_SIGMA = 1e-4  # sufficient-decrease coefficient
@@ -100,159 +92,66 @@ def project_to_simplex(y: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _supports_by_cardinality(n: int) -> tuple:
-    """One index array per cardinality r >= 2, rows in lexicographic order."""
-    out = []
-    for r in range(2, n + 1):
-        combos = np.array(list(itertools.combinations(range(n), r)), dtype=np.intp)
-        combos.flags.writeable = False
-        out.append(combos)
-    return tuple(out)
+def _upper(n: int) -> tuple:
+    """The pairs i < j of n blocks: as a boolean (n, n) mask, and as rows (i, j)
+    in lexicographic order."""
+    mask = ~np.tri(n, dtype=bool)
+    pairs = np.argwhere(mask)
+    for array in (mask, pairs):
+        array.flags.writeable = False
+    return mask, pairs
 
 
-@lru_cache(maxsize=32)
-def _parents(n: int) -> tuple:
-    """For each class of _supports_by_cardinality(n): the row of each
-    support's parent (the support without its last index) in the class
-    before, or for the pairs the vertex; the parent's indices after a
-    leading n; and the last index.  Children in parent order, last index
-    ascending, are the lexicographic order, so each parent's children are one
-    run."""
-    out = []
-    last = np.arange(n)
-    for combos in _supports_by_cardinality(n):
-        parent = np.repeat(np.arange(len(last)), n - 1 - last)
-        border = np.concatenate([np.full((len(combos), 1), n), combos[:, :-1]], axis=1)
-        last = combos[:, -1]
-        for array in (parent, border):
-            array.flags.writeable = False
-        out.append((parent, border, last))
-    return tuple(out)
+def _convexity_edges(Bs: np.ndarray) -> np.ndarray:
+    """The convexity graph of each matrix of the stack Bs (shape (k, n, n)),
+    as a boolean (k, n, n) array that holds its upper triangle: [h, i, j] for
+    i < j says whether c_ij = b_ii + b_jj - 2 b_ij >= 0 in exact arithmetic
+    on the stored entries.  The diagonal and the lower triangle are False.
+
+    The float c = fl(fl(b_ii + b_jj) - 2 b_ij) never has the wrong sign:
+    doubling is exact, rounding to nearest is monotone, so b_ii + b_jj below
+    (above) 2 b_ij leaves fl(b_ii + b_jj) at most (at least) 2 b_ij, and a
+    difference of two doubles is 0 only when they are equal.  Where c is 0,
+    fl(b_ii + b_jj) = 2 b_ij, and the exact c is the rounding error of the
+    sum, which TwoSum (Knuth, TAOCP vol. 2, 4.2.2) gives exactly.  So a
+    rounding error never drops an edge, nor adds one.  The decision is made
+    on the whole square, with no gather, and masked: that is fewer numpy
+    calls than deciding the off-diagonal pairs alone."""
+    d = np.diagonal(Bs, axis1=1, axis2=2)
+    a, b = d[:, :, None], d[:, None, :]
+    s = a + b
+    c = s - 2.0 * Bs
+    virtual = s - a
+    c = np.where(c == 0.0, (a - (s - virtual)) + (b - virtual), c)
+    return (c >= 0.0) & _upper(Bs.shape[1])[0]
 
 
-def _locate(Bs: np.ndarray) -> list:
-    """Approximate stationary points of every support of the stack Bs
-    (shape (k, n, n)), per class of _supports_by_cardinality(n): arrays
-    (value, lowest, margin, trusted), each of shape (k, m).
+def _cliques(edges: np.ndarray) -> list:
+    """The cliques of three or more vertices of each graph of the stack edges
+    (upper triangles, as from _convexity_edges), one class per cardinality r:
+    (owner, sets), each clique's matrix and its vertices as a row of sets
+    (shape (m, r)), in (matrix, lexicographic) order.
 
-    Each support's KKT inverse is grown from its parent's by bordering.  With
-    the symmetric KKT matrix M = [[0, 1^T], [1, 2 B_S]] (unknowns -lambda and
-    x_S) and G its inverse, appending index j with border u = (1, 2 B_Sj) and
-    corner d = 2 B_jj gives the pivot s = d - u^T G u and the inverse
-    [[G + a a^T / s, -a / s], [-a^T / s, 1 / s]] with a = G u: O(r^2) per
-    support instead of an O(r^3) LU.  The first column of the inverse is the
-    solution: -2 times the value and then x.
-
-    A support is trusted when its parent is, its pivot is finite and above
-    PIVOT_TOLERANCE times the magnitude of the terms that make it, and its
-    inverse stays below GROWTH_LIMIT in max norm.  The error of a trusted
-    value or component is modelled as eps ||M|| max(||G||, 1)^2 in max
-    norms (the first-order change of an inverse under a backward error
-    eps ||M||; on random and near-singular families the measured error
-    stayed below 0.7 times eps ||G||^2) and returned, times LOCATE_SAFETY,
-    as its margin.  An untrusted support's margin is NaN, which keeps it out
-    of every comparison; the pass runs under np.errstate, since a zero pivot
-    makes infinities and NaNs there by design."""
-    k, n, _ = Bs.shape
-    # the border: row n holds the ones of the constraint, so u is one gather
-    D = np.empty((k, n + 1, n))
-    D[:, :n] = 2.0 * Bs
-    D[:, n] = 1.0
-    corners = np.diagonal(D, axis1=1, axis2=2)
-    # a vertex: M = [[0, 1], [1, d]] has the inverse [[-d, 1], [1, 0]]
-    G = np.empty((k * n, 2, 2))
-    G[:, 0, 0] = -corners.reshape(-1)
-    G[:, 0, 1] = G[:, 1, 0] = 1.0
-    G[:, 1, 1] = 0.0
-    # each trusted support's row in G, -1 for the others
-    slot = np.arange(k * n).reshape(k, n)
-    # entries in [0, 1] make ||M|| <= 2 in max norm
-    scale = 2.0 * LOCATE_SAFETY * np.finfo(float).eps
-    out = []
-    with np.errstate(all="ignore"):
-        for parent, border, last in _parents(n):
-            m, r = border.shape
-            rows = slot[:, parent].reshape(-1)
-            # only the children of trusted supports are grown
-            grown = np.flatnonzero(rows >= 0)
-            if len(grown) == 0:  # so is every later class
-                slot = np.full((k, m), -1)
-                out.append((*np.full((3, k, m), np.nan), slot >= 0))
-                continue
-            u = D[:, border, last[:, None]].reshape(k * m, r)[grown]
-            d = corners[:, last].reshape(-1)[grown]
-            inverse = G[rows[grown]]
-            a = np.einsum("mij,mj->mi", inverse, u)
-            terms = u * a
-            s = d - terms.sum(axis=1)
-            h = a / -s[:, None]
-            G = np.empty((len(grown), r + 1, r + 1))
-            np.subtract(inverse, np.einsum("mi,mj->mij", a, h), out=G[:, :r, :r])
-            G[:, :r, r] = h
-            G[:, r, :r] = h
-            G[:, r, r] = 1.0 / s
-            size = np.abs(G).max(axis=(1, 2))
-            pivot_ok = np.abs(s) > PIVOT_TOLERANCE * (np.abs(d) + np.abs(terms).sum(axis=1))
-            trusted = pivot_ok & (size < GROWTH_LIMIT)
-            value, lowest, margin = np.full((3, k * m), np.nan)
-            value[grown] = -0.5 * G[:, 0, 0]
-            lowest[grown] = G[:, 1:, 0].min(axis=1)
-            # NaN margins keep untrusted supports out of every comparison
-            margin[grown] = scale * np.maximum(np.where(trusted, size, np.nan), 1.0) ** 2
-            slot = np.full(k * m, -1)
-            slot[grown[trusted]] = np.arange(np.count_nonzero(trusted))
-            if len(G) > np.count_nonzero(trusted):
-                G = G[trusted]
-            slot = slot.reshape(k, m)
-            out.append((value.reshape(k, m), lowest.reshape(k, m), margin.reshape(k, m), slot >= 0))
-    return out
-
-
-def _band_rows(located: list, bound: np.ndarray, tie_tol: float) -> list:
-    """The rows of each class (flat over the stack, as _candidate_arrays
-    takes them) to certify, given an upper bound on each matrix's least
-    value: every pair, every untrusted support, and every trusted one that
-    may be interior and within tie_tol of the bound."""
-    rows = []
-    for value, lowest, margin, trusted in located:
-        if not rows:  # the pairs
-            rows.append(np.arange(value.size))
-            continue
-        near = (lowest > -margin) & (value - margin <= bound[:, None] + tie_tol)
-        rows.append(np.flatnonzero(~trusted | near))
-    return rows
-
-
-def _located_candidates(Bs: np.ndarray, tie_tol: float) -> tuple:
-    """_candidate_arrays(Bs) restricted to the candidates that can be a
-    matrix's least value or within tie_tol of it: (owner, values, witnesses)
-    with each matrix's candidates in scan order.
-
-    The bound is the least of the diagonal and of value + margin over the
-    trusted supports surely interior (lowest > margin).  After certifying,
-    a matrix whose certified least value exceeds its bound (the bound rested
-    on a support the gate dropped, or on a located value off by more than its
-    margin) is certified again over the band of its certified least value,
-    which holds the first band's rows: a bound too low costs work, never a
-    candidate."""
-    k = len(Bs)
-    located = _locate(Bs)
-    bound = np.diagonal(Bs, axis1=1, axis2=2).min(axis=1)
-    for value, lowest, margin, trusted in located:
-        sure = np.where(trusted & (lowest > margin), value + margin, np.inf)
-        bound = np.minimum(bound, sure.min(axis=1))
-    owner, values, witnesses = _candidate_arrays(Bs, _band_rows(located, bound, tie_tol))
-    lows = np.full(k, np.inf)
-    np.minimum.at(lows, owner, values)
-    redo = np.flatnonzero(lows > bound)
-    if len(redo):
-        again = [tuple(array[redo] for array in arrays) for arrays in located]
-        owner2, values2, witnesses2 = _candidate_arrays(Bs[redo], _band_rows(again, lows[redo], tie_tol))
-        stays = ~np.isin(owner, redo)
-        owner = np.concatenate([owner[stays], redo[owner2]])
-        values = np.concatenate([values[stays], values2])
-        witnesses = np.concatenate([witnesses[stays], witnesses2])
-    return owner, values, witnesses
+    Each r-clique is grown from the (r-1)-clique of its first r - 1 vertices
+    by a common neighbour above its last vertex; common holds those
+    neighbours for every clique of a class.  Children in parent order, new
+    vertex ascending, are the lexicographic order, so no class is sorted and
+    no other support is visited."""
+    n = edges.shape[1]
+    owner, i, j = np.nonzero(edges)
+    sets = np.concatenate([i[:, None], j[:, None]], axis=1)
+    common = edges[owner, i] & edges[owner, j]
+    classes = []
+    for r in range(3, n + 1):
+        parent, new = np.nonzero(common)
+        if len(parent) == 0:
+            break
+        owner = owner[parent]
+        sets = np.concatenate([sets[parent], new[:, None]], axis=1)
+        classes.append((owner, sets))
+        if r < n:  # an n-clique has no neighbour left
+            common = common[parent] & edges[owner, new]
+    return classes
 
 
 def _quadratic_values(xs: np.ndarray, subs: np.ndarray, owner: np.ndarray, k: int) -> np.ndarray:
@@ -283,29 +182,31 @@ def _condition_bounds(K: np.ndarray, dets: np.ndarray) -> np.ndarray:
         return np.einsum("kij,kij->k", K, K) ** (K.shape[-1] / 2) / np.abs(dets)
 
 
-def _candidate_arrays(Bs: np.ndarray, rows=None) -> tuple:
+def _candidate_arrays(Bs: np.ndarray, edges: np.ndarray, cliques: list) -> tuple:
     """Candidate minimizers of the stack Bs (shape (k, n, n)) as three flat
     arrays (owner, values, witnesses): each candidate's matrix, its value and
     its witness.  Each matrix's candidates come in scan order, interleaved
-    with the other matrices': vertices first, then interior stationary points
-    of each support, by increasing cardinality with supports lexicographic.
+    with the other matrices': vertices first, then the interior stationary
+    points of the pairs, then of the supports of cliques, class by class.
 
-    This is the one enumerator.  With rows None every support is solved;
-    otherwise rows holds, per class of _supports_by_cardinality(n), the
-    sorted rows of the flattened (k, m) stack to solve (matrix * m +
-    support), and the other supports are left out.  The selected rows get
-    exactly the arithmetic below, so their candidates are bits of the full
-    enumeration, in its order.  A pair's value depends on how many pair
-    candidates its matrix keeps (see _quadratic_values), so a selection must
-    hold every pair of a matrix.
+    This is the one enumerator.  edges holds a graph per matrix (upper
+    triangles, as from _convexity_edges), and cliques the supports of three
+    or more blocks to solve, per cardinality (owner, sets) as from _cliques:
+    each support's matrix and its blocks as a row of sets, in (matrix,
+    lexicographic) order.  Every pair is solved, and a pair's candidate is
+    kept when the pair is an edge.  It is dropped only after its value is
+    computed, because a pair's value depends on how many pair candidates its
+    matrix has (see _quadratic_values).  A support gets the same arithmetic
+    whatever else is solved, so each candidate is bit for bit the one of
+    enumerating every support on the complete graph.
 
     Each cardinality class of the whole stack is solved as one stacked KKT
     system.  Only the supports whose solution is strictly interior are then
     gated: those whose system has condition number beyond CONDITION_LIMIT are
-    dropped (their minimizers reappear on sub-supports).  Solving first and
-    gating the few interior rows keeps the same candidates as gating every
-    row.  Exactly singular systems, whose LU factorisation meets a zero pivot,
-    get no solution and are dropped too.
+    dropped (which is safe for exactly singular systems only; see the module
+    docstring).  Solving first and gating the few interior rows keeps the
+    same candidates as gating every row.  Exactly singular systems, whose LU
+    factorisation meets a zero pivot, get no solution and are dropped too.
 
     The gate clears most rows without an SVD.  For an m x m matrix K with
     singular values s_1 >= ... >= s_m, |det K| = s_1 ... s_m <= s_1^(m-1) s_m
@@ -331,22 +232,17 @@ def _candidate_arrays(Bs: np.ndarray, rows=None) -> tuple:
     owners = [np.repeat(np.arange(k), n)]
     values = [Bs.diagonal(axis1=1, axis2=2).reshape(-1)]
     witnesses = [np.tile(np.eye(n), (k, 1))]
-    for i, combos in enumerate(_supports_by_cardinality(n)):
-        m, r = combos.shape
-        if rows is None:
-            chosen = np.arange(k * m)
-            subs = Bs[:, combos[:, :, None], combos[:, None, :]].reshape(k * m, r, r)
-        else:
-            chosen = rows[i]
-            if len(chosen) == 0:
-                continue
-            sets = combos[chosen % m]
-            subs = Bs[(chosen // m)[:, None, None], sets[:, :, None], sets[:, None, :]]
-        K = np.zeros((len(chosen), r + 1, r + 1))
+    pairs = _upper(n)[1]
+    for owner, sets in [(np.arange(k).repeat(len(pairs)), np.tile(pairs, (k, 1)))] + cliques:
+        m, r = sets.shape
+        if m == 0:
+            continue
+        subs = Bs[owner[:, None, None], sets[:, :, None], sets[:, None, :]]
+        K = np.zeros((m, r + 1, r + 1))
         K[:, :r, :r] = 2.0 * subs
         K[:, :r, r] = -1.0
         K[:, r, :r] = 1.0
-        rhs = np.zeros((len(chosen), r + 1, 1))
+        rhs = np.zeros((m, r + 1, 1))
         rhs[:, r, 0] = 1.0
         dets = None
         try:
@@ -357,7 +253,7 @@ def _candidate_arrays(Bs: np.ndarray, rows=None) -> tuple:
             # CONDITION_LIMIT); those rows stay outside the simplex
             dets = np.linalg.det(K)
             regular = np.isfinite(dets) & (dets != 0.0)
-            sols = np.full((len(chosen), r), -1.0)
+            sols = np.full((m, r), -1.0)
             sols[regular] = np.linalg.solve(K[regular], rhs[regular])[:, :r, 0]
         inner = np.nonzero(np.all(sols > 0.0, axis=1))[0]
         if len(inner) == 0:
@@ -373,17 +269,20 @@ def _candidate_arrays(Bs: np.ndarray, rows=None) -> tuple:
         inner = inner[keep]
         if len(inner) == 0:
             continue
-        owner, support = np.divmod(chosen[inner], m)
-        xs = sols[inner]
-        picked = np.zeros((len(inner), n))
-        picked[np.arange(len(inner))[:, None], combos[support]] = xs
+        owner, sets, xs = owner[inner], sets[inner], sols[inner]
+        value = _quadratic_values(xs, subs[inner], owner, k)
+        if r == 2:
+            on = edges[owner, sets[:, 0], sets[:, 1]]
+            owner, sets, xs, value = owner[on], sets[on], xs[on], value[on]
+        picked = np.zeros((len(owner), n))
+        picked[np.arange(len(owner))[:, None], sets] = xs
         owners.append(owner)
-        values.append(_quadratic_values(xs, subs[inner], owner, k))
+        values.append(value)
         witnesses.append(picked)
     return np.concatenate(owners), np.concatenate(values), np.concatenate(witnesses)
 
 
-def _certified_stack(Bs: np.ndarray, tie_tol: float = 0.0) -> tuple:
+def _certified_stack(Bs: np.ndarray) -> tuple:
     """Guard and select for the stack Bs (shape (k, n, n)), after charging
     its 2^n supports per matrix: (owner, values, witnesses) as from
     _candidate_arrays but grouped by matrix, and best, the row of each
@@ -392,28 +291,25 @@ def _certified_stack(Bs: np.ndarray, tie_tol: float = 0.0) -> tuple:
 
     A matrix with a zero diagonal entry has d* = 0; its candidates are its
     zero-diagonal vertices and no support is enumerated.  The others go
-    through _candidate_arrays together: below LOCATE_MIN_BLOCKS blocks over
-    every support, from it on through _located_candidates, which keeps every
-    candidate within tie_tol of the least value (all the tie set needs) and
-    the same argmin.  All 2^n supports are charged either way, since the
-    locate pass visits them all.
+    through _candidate_arrays together, on their convexity graphs: every
+    candidate is a vertex or a stationary point interior to a clique support,
+    and every local minimizer is among them (module docstring).  The pairs
+    off the graph are solved as well, for the summation order of the pairs
+    on it, and then dropped: an interior stationary point of a pair with
+    c_ij < 0 is a maximum along its edge.
 
-    The threshold exists because the locate pass has a fixed cost, about
-    thirty numpy calls per class on top of its O(r^2) work per support,
-    that pays only where the O(r^3) solves it saves dominate.  On one
-    uniform random matrix (2-core machine, OpenBLAS) it broke even at n = 9
-    and took 0.88, 0.63 and 0.56 of the full solve's time at n = 10, 12 and
-    14.  On near-low-rank inputs such as the walk kernel W_7 most supports
-    are untrusted and certified anyway, and the pass is overhead."""
+    The charge stays 2^n supports per matrix, an upper bound on the supports
+    visited, vertices included.  It is made before the graphs are known, and
+    no smaller bound holds in advance: the convexity graph of a constant
+    graphon is complete, so all 2^n - 1 of its supports are visited."""
     k, n, _ = Bs.shape
     charge(2**n, DEFAULT_SUPPORT_BUDGET, "exact solver", "supports")
     diags = np.diagonal(Bs, axis1=1, axis2=2)
     live = np.flatnonzero(np.all(diags != 0.0, axis=1))
     dead, vertex = np.nonzero(diags == 0.0)
-    if n >= LOCATE_MIN_BLOCKS:
-        owner, values, witnesses = _located_candidates(Bs[live], tie_tol)
-    else:
-        owner, values, witnesses = _candidate_arrays(Bs[live])
+    Ls = Bs[live]
+    edges = _convexity_edges(Ls)
+    owner, values, witnesses = _candidate_arrays(Ls, edges, _cliques(edges))
     owner = np.concatenate([live[owner], dead])
     # group by matrix; the stable sort keeps each matrix's scan order
     order = np.argsort(owner, kind="stable")
@@ -433,10 +329,12 @@ def _certificate(values: np.ndarray, witnesses: np.ndarray, row: int) -> LocalDe
 
 
 def local_density_exact(W: StepGraphon) -> LocalDensityCertificate:
-    """Global minimum of x^T B x over the simplex by support enumeration.
+    """Global minimum of x^T B x over the simplex by enumerating the vertices,
+    the pairs and the clique supports of the convexity graph.
 
     Deterministic: supports are scanned by cardinality then lexicographically,
-    and ties keep the first witness found.
+    and ties keep the first witness found.  Raises BudgetExceededError when
+    2^n exceeds DEFAULT_SUPPORT_BUDGET (or GRAPHONLAB_BUDGET).
     """
     _, values, witnesses, best = _certified_stack(W.values[None])
     return _certificate(values, witnesses, int(best[0]))
@@ -444,11 +342,14 @@ def local_density_exact(W: StepGraphon) -> LocalDensityCertificate:
 
 def local_density_subgradient(W: StepGraphon, tie_tol: float = 1e-10):
     """(per-entry subgradient matrix, certificate): averaged witness outer
-    products over all global minimizers within tie_tol of the optimum.
+    products over the tie set, the global minimizers within tie_tol of the
+    optimum.
 
-    For symmetric directions D, the directional derivative of d* at W is
-    sum_ij P_ij D_ij with P the returned matrix (exact when the minimizer is
-    unique)."""
+    The tie set is every candidate within tie_tol of d*: the vertices and the
+    stationary points interior to clique supports of the convexity graph
+    (see local_density_subgradients).  For symmetric directions D, the
+    directional derivative of d* at W is sum_ij P_ij D_ij with P the
+    returned matrix (exact when the minimizer is unique)."""
     return local_density_subgradients(W.values[None], tie_tol)[0]
 
 
@@ -476,18 +377,27 @@ def local_density_subgradients(Bs, tie_tol: float = 1e-10) -> list:
     together.  The matrices are not validated: each must be symmetric with
     entries in [0, 1], as StepGraphon values are.
 
-    The tie set of a matrix is its candidates within tie_tol of the optimum
-    (at a zero diagonal, all the zero-diagonal vertices).  Most matrices have
-    one, the certificate's witness x, and P = x x^T for all of them at once:
-    the same bits as averaging one outer product.  Real tie sets go through
-    _averaged_outer one matrix at a time."""
+    The tie set of a matrix is its candidates within tie_tol of the optimum:
+    its vertices, and its stationary points interior to the supports that are
+    cliques of its convexity graph (pairs included), within tie_tol.  A
+    stationary point on any other support is a saddle or a maximum, never a
+    minimizer, so it is not in the tie set even when its value is within
+    tie_tol.  At a zero diagonal the tie set is all the zero-diagonal
+    vertices.  Most matrices have one candidate in it, the certificate's
+    witness x, and P = x x^T for all of them at once: the same bits as
+    averaging one outer product.  Real tie sets go through _averaged_outer
+    one matrix at a time.
+
+    The solver charges 2^n supports per stack, whatever the graphs: an upper
+    bound on the supports it visits, which a constant graphon, whose
+    convexity graph is complete, reaches but for one (see _certified_stack)."""
     Bs = np.asarray(Bs, dtype=float)
     if Bs.ndim != 3 or Bs.shape[1] != Bs.shape[2] or Bs.shape[1] < 1:
         raise ValueError(f"expected a stack of non-empty square matrices, got shape {Bs.shape}")
     if not (math.isfinite(tie_tol) and tie_tol >= 0.0):
         raise ValueError(f"tie_tol must be finite and non-negative, got {tie_tol!r}")
     k = len(Bs)
-    owner, values, witnesses, best = _certified_stack(Bs, tie_tol)
+    owner, values, witnesses, best = _certified_stack(Bs)
     tied = values <= values[best][owner] + tie_tol
     ties = np.bincount(owner[tied], minlength=k)
     x = witnesses[best]

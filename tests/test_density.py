@@ -356,15 +356,16 @@ def test_stacked_calls_match_one_graphon_calls_bitwise(n):
 
 
 @pytest.mark.parametrize("n", (1, 3, 9))
-def test_stacked_calls_on_an_empty_stack(n, monkeypatch):
+def test_stacked_calls_on_an_empty_stack(n):
     # each stacked API gives an empty stack of its result's shape; the exact
-    # solver's locate pass, with its threshold patched down, sees it too
-    monkeypatch.setattr(localdensity, "LOCATE_MIN_BLOCKS", 2)
+    # solver's convexity graphs and clique growth see it too
     Bs, measures = np.zeros((0, n, n)), np.full(n, 1.0 / n)
     for H in STACK_PATTERNS.values():
         assert hom_densities(H, Bs, measures).shape == (0,)
         assert grad_hom_densities(H, Bs, measures).shape == (0, n, n)
     assert path_powers(Bs, measures, 3).shape == (0, n, n)
+    edges = localdensity._convexity_edges(Bs)
+    assert edges.shape == (0, n, n) and localdensity._cliques(edges) == []
     assert localdensity.local_density_subgradients(Bs) == []
 
 

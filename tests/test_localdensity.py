@@ -1,5 +1,7 @@
+import itertools
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from graphonlab import (
     local_density_grid_oracle,
     local_density_subgradient,
     local_density_subgradients,
+    path_power,
     restrict,
 )
 from graphonlab import localdensity
@@ -264,14 +267,46 @@ def test_stacked_subgradients_match_single_calls_bitwise(n):
     _assert_same(local_density_subgradients(np.array(Bs[3:4]))[0], singles[3])
 
 
+def _supports(n, smallest=2):
+    """Every support of smallest or more of n blocks, per cardinality, rows
+    lexicographic."""
+    return [np.array(list(itertools.combinations(range(n), r)), dtype=np.intp) for r in range(smallest, n + 1)]
+
+
+def _full_enumeration(Bs):
+    """_candidate_arrays over every support of the complete graph: every
+    interior stationary point that passes the gate, minimizer or not.  Test
+    oracle only."""
+    k, n, _ = Bs.shape
+    every = [(np.repeat(np.arange(k), len(combos)), np.tile(combos, (k, 1))) for combos in _supports(n, 3)]
+    return localdensity._candidate_arrays(Bs, np.ones((k, n, n), dtype=bool), every)
+
+
+def _fraction_edges(B):
+    """c_ij = b_ii + b_jj - 2 b_ij >= 0 for every i, j, decided in Fraction
+    arithmetic on the stored floats (True on the diagonal)."""
+    F = [[Fraction(x) for x in row] for row in B.tolist()]
+    return np.array([[F[i][i] + F[j][j] - 2 * F[i][j] >= 0 for j in range(len(F))] for i in range(len(F))])
+
+
+def _on_cliques(B, xs):
+    """Whether each row of xs has a support that is a clique of B's convexity
+    graph, with the edges decided by Fraction."""
+    edges = _fraction_edges(B)
+    return np.array([edges[np.ix_(support, support)].all() for support in (np.flatnonzero(x) for x in xs)], dtype=bool)
+
+
 def _looped_subgradients(Bs, tie_tol=1e-10):
     """local_density_subgradients as it was before the assembly was
-    vectorised: the argmin, the tie set, the rounding-key set and the outer
-    products one matrix at a time.  (P, d*, witness, distinct tied witnesses)
-    per matrix.  Test oracle only."""
+    vectorised, over the full enumeration: the argmin, the tie set, the
+    rounding-key set and the outer products one matrix at a time.  The tie
+    set is every candidate within tie_tol of the optimum whose support is a
+    clique of the convexity graph, decided by Fraction; the argmin is taken
+    over every candidate.  (P, d*, witness, tie set) per matrix, the tie set
+    as its witness rows in scan order.  Test oracle only."""
     k, n, _ = Bs.shape
     live = np.flatnonzero(np.all(np.diagonal(Bs, axis1=1, axis2=2) != 0.0, axis=1))
-    owner, values, witnesses = localdensity._candidate_arrays(Bs[live])
+    owner, values, witnesses = _full_enumeration(Bs[live])
     out = []
     for j, B in enumerate(Bs):
         if j in live:
@@ -282,18 +317,20 @@ def _looped_subgradients(Bs, tie_tol=1e-10):
             vals = np.zeros(len(xs))
         i = int(np.argmin(vals))
         d_star = float(vals[i])
+        near = np.flatnonzero(vals <= d_star + tie_tol)
+        tie_set = xs[near[_on_cliques(B, xs[near])]]
         tied = []
         seen = set()
-        for t in np.nonzero(vals <= d_star + tie_tol)[0]:
-            key = tuple(np.round(xs[t], 10))
+        for x in tie_set:
+            key = tuple(np.round(x, 10))
             if key not in seen:
                 seen.add(key)
-                tied.append(xs[t])
+                tied.append(x)
         P = np.zeros((n, n))
         for x in tied:
             P += np.outer(x, x)
         P /= len(tied)
-        out.append((P, d_star, xs[i], len(tied)))
+        out.append((P, d_star, xs[i], tie_set))
     return out
 
 
@@ -320,7 +357,7 @@ def test_vectorised_assembly_matches_loop_bitwise(n):
         assert cert.d_star == d_star
         assert np.array_equal(cert.witness, witness)
     # both paths ran: unique minimizers and real tie sets
-    tie_sizes = [size for *_, size in want]
+    tie_sizes = [len(tie_set) for *_, tie_set in want]
     assert 1 in tie_sizes and max(tie_sizes) > 1
 
 
@@ -395,7 +432,7 @@ def _cond_first_candidate_arrays(Bs):
     owners = [np.repeat(np.arange(k), n)]
     values = [Bs.diagonal(axis1=1, axis2=2).reshape(-1)]
     witnesses = [np.tile(np.eye(n), (k, 1))]
-    for combos in localdensity._supports_by_cardinality(n):
+    for combos in _supports(n):
         m, r = combos.shape
         subs = Bs[:, combos[:, :, None], combos[:, None, :]].reshape(k * m, r, r)
         K = _kkt(subs)
@@ -462,7 +499,7 @@ def _oracle_inputs(rng, n):
 def test_solve_then_gate_matches_cond_first_oracle(n, monkeypatch):
     masked = _spy_det_masks(monkeypatch)
     Bs = _oracle_inputs(np.random.default_rng(300 + n), n)
-    got = localdensity._candidate_arrays(Bs)
+    got = _full_enumeration(Bs)
     want = _cond_first_candidate_arrays(Bs)
     assert np.array_equal(np.unique(got[0]), np.arange(len(Bs)))
     for got_array, want_array in zip(got, want, strict=True):
@@ -516,68 +553,146 @@ def test_svd_only_for_rows_the_bound_cannot_clear(monkeypatch):
     # the search's case: a stack of uniform random matrices at n = 4
     local_density_subgradients(np.array([_symmetric(rng.uniform(size=(4, 4))) for _ in range(36)]))
     assert calls == []
+    # every support, not only the cliques the solver visits: on this input
+    # the cliques alone leave the SVD nothing to drop
     B = 0.5 + 1e-11 * _symmetric(rng.uniform(-1.0, 1.0, size=(8, 8)))
-    local_density_subgradients(B[None])
+    _full_enumeration(B[None])
     kept = sum(kept for kept, _ in calls)
     assert 0 < kept < sum(rows for _, rows in calls)  # the SVD decided both ways
 
 
+def _random_graphs(rng, n, k=6):
+    """Upper triangles of k random graphs on n vertices, from empty to
+    complete."""
+    return np.triu(rng.random((k, n, n)) < np.linspace(0.0, 1.0, k)[:, None, None], 1)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_parents_are_the_supports_without_their_last_index(n):
-    classes = [np.arange(n)[:, None]] + list(localdensity._supports_by_cardinality(n))
-    for (parents, border, last), (before, combos) in zip(localdensity._parents(n), zip(classes, classes[1:])):
-        assert np.array_equal(before[parents], combos[:, :-1])
-        assert np.array_equal(border[:, 1:], combos[:, :-1]) and np.all(border[:, 0] == n)
-        assert np.array_equal(last, combos[:, -1])
+    # each clique of a class is a clique of the class before plus a vertex
+    # above its last one, and the classes hold exactly the supports of three
+    # or more vertices that are cliques, in (matrix, lexicographic) order
+    edges = _random_graphs(np.random.default_rng(500 + n), n)
+    classes = localdensity._cliques(edges)
+    want = []
+    for combos in _supports(n, 3):
+        pairs = np.array(list(itertools.combinations(range(combos.shape[1]), 2)))
+        on = edges[:, combos[:, pairs[:, 0]], combos[:, pairs[:, 1]]].all(axis=2)
+        owner, row = np.nonzero(on)
+        if len(owner):
+            want.append((owner, combos[row]))
+    assert len(classes) == len(want)
+    owner, i, j = np.nonzero(edges)
+    before = (owner, np.stack([i, j], axis=1))
+    for (owner, sets), (owner_want, sets_want) in zip(classes, want):
+        assert np.array_equal(owner, owner_want) and np.array_equal(sets, sets_want)
+        parents = {(h, *row) for h, row in zip(before[0].tolist(), before[1].tolist())}
+        assert all((h, *row[:-1]) in parents for h, row in zip(owner.tolist(), sets.tolist()))
+        before = (owner, sets)
+
+
+def _constructed_entries():
+    """(b_ii, b_jj, b_ij) where fl(fl(b_ii + b_jj) - 2 b_ij) rounds to 0
+    while the exact c_ij is 2^-80 or -2^-80, each at two scales of b_ij, and
+    one exact tie, c_ij = 0."""
+    return [
+        (1.0 - 2.0**-53, 2.0**-53 + 2.0**-80, 0.5),
+        (1.0 - 2.0**-53, 2.0**-53 - 2.0**-80, 0.5),
+        (1.0, 2.0**-52 + 2.0**-80, 0.5 + 2.0**-53),
+        (1.0, 2.0**-52 - 2.0**-80, 0.5 + 2.0**-53),
+        (0.75, 0.25, 0.5),
+    ]
+
+
+def test_convexity_edges_are_exact():
+    rng = np.random.default_rng(31)
+    Bs = []
+    for n in (2, 5, 9):
+        uniform = _symmetric(rng.uniform(size=(n, n)))
+        Bs += [
+            uniform,
+            np.round(uniform, 1),
+            0.5 + _symmetric(rng.choice([-1e-13, 0.0, 1e-13], size=(n, n))),
+            _symmetric(rng.integers(0, 2, size=(n, n)).astype(float)),
+        ]
+    # triples whose float c rounds to 0 with either exact sign: the float
+    # decision alone would keep both edges
+    for b_ii, b_jj, b_ij in _constructed_entries():
+        B = _symmetric(rng.uniform(size=(4, 4)))
+        B[1, 1], B[2, 2], B[1, 2], B[2, 1] = b_ii, b_jj, b_ij, b_ij
+        assert (b_ii + b_jj) - 2.0 * b_ij == 0.0
+        Bs.append(B)
+    # near-cancelling triples at many scales: b_ij within two ulps of the
+    # midpoint of b_ii and a b_jj down to 2^-59, where the float c often
+    # rounds to 0 with either exact sign, and a wrong sign would show
+    rounded = {-1: 0, 0: 0, 1: 0}
+    for _ in range(200):
+        b_ii, b_jj = float(rng.uniform()), float(rng.uniform()) * 2.0 ** -int(rng.integers(0, 60))
+        b_ij = (b_ii + b_jj) / 2.0
+        b_ij += int(rng.integers(-2, 3)) * math.ulp(b_ij)
+        if (b_ii + b_jj) - 2.0 * b_ij == 0.0:
+            exact = Fraction(b_ii) + Fraction(b_jj) - 2 * Fraction(b_ij)
+            rounded[(exact > 0) - (exact < 0)] += 1
+        Bs.append(np.array([[b_ii, b_ij], [b_ij, b_jj]]))
+    assert rounded[-1] > 0 and rounded[1] > 0
+    for B in Bs:
+        n = len(B)
+        got = localdensity._convexity_edges(B[None])[0]
+        assert np.array_equal(got, _fraction_edges(B) & np.triu(np.ones((n, n), dtype=bool), 1))
 
 
 def _solved(mp, Bs, tie_tol):
-    """(P, d*, witness, tie-set size) per matrix of the stack Bs: the public
-    stacked call, and the size of the tie set its _certified_stack gave it
-    (read through a spy patched in on mp)."""
+    """(P, d*, witness, tie set) per matrix of the stack Bs: the public
+    stacked call, and the tie set its _certified_stack gave it as witness
+    rows in scan order (read through a spy patched in on mp)."""
     certified_stack = localdensity._certified_stack
     seen = []
 
-    def spy(Bs, tie_tol):
-        seen.append(certified_stack(Bs, tie_tol))
+    def spy(Bs):
+        seen.append(certified_stack(Bs))
         return seen[-1]
 
     mp.setattr(localdensity, "_certified_stack", spy)
     pairs = local_density_subgradients(Bs, tie_tol)
     mp.setattr(localdensity, "_certified_stack", certified_stack)
-    owner, values, _, best = seen[0]
-    ties = np.bincount(owner[values <= values[best][owner] + tie_tol], minlength=len(Bs))
-    return [(P, cert.d_star, cert.witness, int(size)) for (P, cert), size in zip(pairs, ties)]
+    owner, values, witnesses, best = seen[0]
+    tied = values <= values[best][owner] + tie_tol
+    return [(P, cert.d_star, cert.witness, witnesses[tied & (owner == j)]) for j, (P, cert) in enumerate(pairs)]
 
 
 def _assert_located_matches_full(mp, Bs):
-    """Located results (LOCATE_MIN_BLOCKS patched to 2 on mp) are bit for bit
-    those of full enumeration: the stacked subgradients with their tie sets
-    at three tie tolerances, and local_density_exact."""
-    runs = {}
-    for threshold in (math.inf, 2):
-        mp.setattr(localdensity, "LOCATE_MIN_BLOCKS", threshold)
-        runs[threshold] = {tie_tol: _solved(mp, Bs, tie_tol) for tie_tol in (0.0, 1e-10, 1e-6)}
-    for tie_tol, want_rows in runs[math.inf].items():
-        for j, (got, want) in enumerate(zip(runs[2][tie_tol], want_rows)):
-            (P, d_star, witness, ties), (P_want, d_want, witness_want, ties_want) = got, want
+    """The candidates the solver keeps, the vertices, pairs and clique
+    supports of each convexity graph, give the results of full enumeration
+    bit for bit: P, d* and witness of the stacked subgradients at three tie
+    tolerances, and of local_density_exact.  The tie set is full
+    enumeration's restricted to the supports Fraction decides are cliques."""
+    for tie_tol in (0.0, 1e-10, 1e-6):
+        for j, (got, want) in enumerate(zip(_solved(mp, Bs, tie_tol), _looped_subgradients(Bs, tie_tol))):
+            (P, d_star, witness, tie_set), (P_want, d_want, witness_want, tie_set_want) = got, want
             assert np.array_equal(P, P_want), (tie_tol, j)
             assert d_star == d_want and np.array_equal(witness, witness_want), (tie_tol, j)
-            assert ties == ties_want, (tie_tol, j)
+            assert np.array_equal(tie_set, tie_set_want), (tie_tol, j)
     n = Bs.shape[1]
-    for j, B in enumerate(Bs):
-        cert = local_density_exact(StepGraphon(B, np.full(n, 1.0 / n)))
-        _, d_want, witness_want, _ = runs[math.inf][0.0][j]
+    for j, (_, d_want, witness_want, _) in enumerate(_looped_subgradients(Bs, 0.0)):
+        cert = local_density_exact(StepGraphon(Bs[j], np.full(n, 1.0 / n)))
         assert cert.d_star == d_want and np.array_equal(cert.witness, witness_want), j
+
+
+def _walk_kernels(rng, n):
+    """W_3, W_5 and W_7 of a random graphon with Dirichlet measures: near
+    low rank, so their convexity graphs hold most supports."""
+    W = gen_random(n, int(rng.integers(2**31)), dirichlet_measures=True)
+    return [path_power(W, s).values for s in (3, 5, 7)]
 
 
 @pytest.mark.parametrize("n", range(2, 15))
 def test_located_matches_full_enumeration(n, monkeypatch):
-    Bs = _oracle_inputs(np.random.default_rng(400 + n), n)
+    rng = np.random.default_rng(400 + n)
+    Bs = np.array(list(_oracle_inputs(rng, n)) + _walk_kernels(rng, n))
     _assert_located_matches_full(monkeypatch, Bs)
 
 
-DRAWN_FAMILIES = ("uniform", "constant", "duplicated", "zero_one", "rounded", "near_limit", "zero_diagonal")
+DRAWN_FAMILIES = ("uniform", "constant", "duplicated", "zero_one", "rounded", "near_limit", "zero_diagonal", "walk")
 
 
 def _drawn_matrix(rng, n, family):
@@ -595,11 +710,13 @@ def _drawn_matrix(rng, n, family):
         return 0.5 + 1e-11 * _symmetric(rng.uniform(-1.0, 1.0, size=(n, n)))
     if family == "zero_diagonal":
         np.fill_diagonal(uniform, np.where(rng.random(n) < 0.5, 0.0, np.diag(uniform)))
+    if family == "walk":
+        return _walk_kernels(rng, n)[int(rng.integers(3))]
     return uniform
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(2, 11), st.lists(st.sampled_from(DRAWN_FAMILIES), min_size=1, max_size=6), RNG_SEEDS)
+@given(st.integers(2, 14), st.lists(st.sampled_from(DRAWN_FAMILIES), min_size=1, max_size=6), RNG_SEEDS)
 def test_located_matches_full_enumeration_on_drawn_stacks(n, families, seed):
     rng = np.random.default_rng(seed)
     Bs = np.array([_drawn_matrix(rng, n, family) for family in families])
@@ -607,38 +724,25 @@ def test_located_matches_full_enumeration_on_drawn_stacks(n, families, seed):
         _assert_located_matches_full(mp, Bs)
 
 
-def _spy_solver_passes(monkeypatch) -> tuple:
-    """Patch _locate and _candidate_arrays to record their calls: the stack
-    sizes located, and the rows certified per call (None for every row)."""
-    locate, candidate_arrays = localdensity._locate, localdensity._candidate_arrays
-    located, certified = [], []
+def test_only_pairs_and_cliques_are_certified(monkeypatch):
+    candidate_arrays = localdensity._candidate_arrays
+    solved = []
 
-    def locate_spy(Bs):
-        located.append(len(Bs))
-        return locate(Bs)
+    def spy(Bs, edges, cliques):
+        solved.append([len(owner) for owner, _ in cliques])
+        return candidate_arrays(Bs, edges, cliques)
 
-    def candidate_arrays_spy(Bs, rows=None):
-        certified.append(None if rows is None else sum(len(chosen) for chosen in rows))
-        return candidate_arrays(Bs, rows)
-
-    monkeypatch.setattr(localdensity, "_locate", locate_spy)
-    monkeypatch.setattr(localdensity, "_candidate_arrays", candidate_arrays_spy)
-    return located, certified
-
-
-def test_locate_only_from_the_threshold_on(monkeypatch):
-    located, certified = _spy_solver_passes(monkeypatch)
-    rng = np.random.default_rng(23)
-    # the search's case: a stack of uniform random matrices at n = 4 solves
-    # every support, as before the locate pass
-    assert 4 < localdensity.LOCATE_MIN_BLOCKS <= 12
-    local_density_subgradients(np.array([_symmetric(rng.uniform(size=(4, 4))) for _ in range(36)]))
-    assert located == [] and certified == [None]
+    monkeypatch.setattr(localdensity, "_candidate_arrays", spy)
     n = 12
-    local_density_exact(StepGraphon(_symmetric(rng.uniform(size=(n, n))), np.full(n, 1.0 / n)))
-    assert located == [1]
-    # the pairs, and few of the other 2^n - 1 - n - n(n - 1)/2 supports
-    assert n * (n - 1) // 2 <= sum(certified[1:]) < (2**n - 1 - n) / 20
+    rng = np.random.default_rng(23)
+    B = _symmetric(rng.uniform(size=(n, n)))
+    local_density_exact(StepGraphon(B, np.full(n, 1.0 / n)))
+    edges = _fraction_edges(B)
+    cliques = [combos[[edges[np.ix_(c, c)].all() for c in combos]] for combos in _supports(n, 3)]
+    # every pair is solved by the enumerator itself; of the 2^n - 1 - n
+    # - n(n - 1)/2 larger supports, only the Fraction cliques are passed
+    assert solved == [[len(c) for c in cliques if len(c)]]
+    assert n * (n - 1) // 2 + sum(solved[0]) < 2**n / 20
 
 
 def test_is_locally_dense():
