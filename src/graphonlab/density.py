@@ -13,30 +13,39 @@ The elimination engine plans once and runs many times.  For each pattern
 and block count n, plan_elimination picks the order and, in the same pass,
 lays it out as a program: which factor slots every step multiplies, and the
 transpose and broadcast shape that line each one up with the eliminated
-vertex on the summed axis.  A gradient holds one such plan per edge, with
-that edge deleted and its endpoints pinned.  Plans are cached by (pattern,
-n), so a call only runs array arithmetic: one product per step and one
-np.matmul against the weights.
+vertex on the summed axis.  Plans are cached by (pattern, n), so a call only
+runs array arithmetic: one product per step and one np.matmul against the
+weights.
+
+A gradient runs the same plan forward, keeping every step's factors, then
+sends the adjoint back through the steps once (reverse mode; Baur &
+Strassen, Theor. Comput. Sci. 22, 1983): a factor's adjoint contracts the
+adjoint of its step's sum, times the weight, with the step's other factors
+(np.einsum, subscripts stored in the plan).  Edge factors add into one
+gradient matrix; a step output passes its adjoint to the step that made it.
 
 The engine (_run) runs a program over a stack of value matrices at once,
 behind a leading stack axis.  hom_densities and grad_hom_densities take
 such stacks, as the penalty search evaluates its trial points;
 hom_density, hom_density_weighted and grad_hom_density, and through
-hom_density the walk-kernel shortcut, are the stack of one.  np.matmul
-over the stack axis rounds each matrix as a lone np.dot would (a property
-of the numpy/BLAS build that the tests pin), so an entry of a stack is,
-bit for bit, the one-graphon result.
+hom_density the walk-kernel shortcut, are the stack of one.  np.matmul and
+np.einsum over the stack axis round each matrix as a lone call would (a
+property of the numpy/BLAS build that the tests pin), so an entry of a
+stack is, bit for bit, the one-graphon result.
 
 Work is accounted in block-tensor cells touched; every call charges the
-plan's cell count to the budget (budget.charge) before any arithmetic runs,
-once per stack: the budget caps the work on one matrix.
+plan's cell count (a gradient: forward and reverse pass together) to the
+budget (budget.charge) before any arithmetic runs, once per stack: the
+budget caps the work on one matrix.
 """
 
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -46,12 +55,15 @@ from .graphs import Graph, subdivide
 from .operators import path_power
 from .stepgraphon import StepGraphon, as_step_function
 
-# Bound of each plan cache (density plans, gradient plans, shared layouts).
-# The working sets fit: the verify checks use 12 patterns at n = 2..10, 108
-# density plans (paper-default alone needs 23), and a search a handful of
-# gradient plans.  A gradient's plans for a 10-edge pattern hold about
-# 20 KB, so full caches stay near 3 MB.
+# Bound of each plan cache (plans and shared layouts).  The working sets
+# fit: the verify checks use 12 patterns at n = 2..10, 108 density plans
+# (paper-default alone needs 23), and a search a handful; density and
+# gradient share them.
 PROGRAM_CACHE_SIZE = 128
+
+# einsum's axis labels, the first for the stack axis; a wider step (n = 1
+# only, else it would not fit in memory) gets '?', on which einsum raises
+_LABELS = string.ascii_letters
 
 
 class _Step(NamedTuple):
@@ -83,8 +95,18 @@ class EliminationPlan:
     arities are the per-step working-factor arities, and cost is the total
     number of cells the contraction will touch, sum of n^arity over the
     steps.  Slots 0..edge_count-1 start as the value matrix, one per edge in
-    edge_list order; step outputs fill the later slots.  tail_slots and
-    tail_layouts line up the factors left over the pinned vertices.
+    edge_list order; step outputs fill the later slots, every factor with
+    its axes in increasing vertex order.
+
+    adjoints hold each step's reverse pass, one (members, subscripts,
+    weight_shape) per distinct scope of its factors; members are their
+    positions in the step's slots.  A member's adjoint is the product of its
+    scope mates times one einsum, of the adjoint of the step's sum and each
+    other scope's product, times the weight broadcast by weight_shape.  With
+    one scope (weight_shape None) the weight is the einsum's second operand
+    instead, supplying the eliminated axis.  One operand per scope keeps
+    einsum off its slow loop for four or more operands.  gradient_cost adds
+    the einsums' n^arity cells to cost.
     """
 
     order: tuple
@@ -92,9 +114,8 @@ class EliminationPlan:
     cost: float
     edge_count: int
     steps: tuple
-    pinned: tuple
-    tail_slots: tuple
-    tail_layouts: tuple
+    adjoints: tuple
+    gradient_cost: float
 
 
 @lru_cache(maxsize=PROGRAM_CACHE_SIZE)
@@ -115,6 +136,25 @@ def _layouts(factors, order: tuple, n: int) -> tuple:
     )
 
 
+def _adjoints(touching, v: int, rest: tuple, n: int) -> tuple:
+    """The adjoints entry of the step eliminating v: its factors' distinct
+    scopes in first-seen order."""
+    label = dict(zip((v,) + rest, _LABELS[1:] + "?" * len(rest)))
+    scopes = list(dict.fromkeys(vars_ for vars_, _ in touching))
+    subscripts = [_LABELS[0] + "".join(label[w] for w in scope) for scope in scopes]
+    head = _LABELS[0] + "".join(label[w] for w in rest)
+    adjoints = []
+    for j, scope in enumerate(scopes):
+        members = tuple(i for i, (vars_, _) in enumerate(touching) if vars_ == scope)
+        if len(scopes) == 1:
+            operands, weight_shape = [head, label[v]], None
+        else:
+            operands = [head] + subscripts[:j] + subscripts[j + 1:]
+            weight_shape = tuple(n if w == v else 1 for w in scope)
+        adjoints.append((members, ",".join(operands) + "->" + subscripts[j], weight_shape))
+    return tuple(adjoints)
+
+
 @lru_cache(maxsize=PROGRAM_CACHE_SIZE)
 def plan_elimination(H: Graph, n: int, pinned: tuple = ()) -> EliminationPlan:
     """Greedy minimum-degree elimination over the non-pinned vertices.
@@ -123,7 +163,8 @@ def plan_elimination(H: Graph, n: int, pinned: tuple = ()) -> EliminationPlan:
     current neighbors into a clique.  The same step lays out the factors
     touching v, whose scopes cover v and exactly those neighbors, and
     replaces them by one factor over the neighbors.  Pinned vertices are
-    never eliminated but do count toward factor arities.
+    never eliminated but do count toward factor arities; they shape the
+    order and cost only, since the engine runs unpinned plans.
     """
     adj = {v: set() for v in range(H.vertex_count)}
     for u, v in H.edges:
@@ -132,8 +173,8 @@ def plan_elimination(H: Graph, n: int, pinned: tuple = ()) -> EliminationPlan:
     remaining = set(adj) - set(pinned)
     factors = [(edge, slot) for slot, edge in enumerate(H.edge_list)]
     next_slot = len(factors)
-    order, arities, steps = [], [], []
-    cost = 0.0
+    order, arities, steps, adjoints = [], [], [], []
+    cost = reverse_cost = 0.0
     while remaining:
         v = min(remaining, key=lambda u: (len(adj[u]), u))
         rest = tuple(sorted(adj[v]))
@@ -147,6 +188,8 @@ def plan_elimination(H: Graph, n: int, pinned: tuple = ()) -> EliminationPlan:
         remaining.discard(v)
         touching = [f for f in factors if v in f[0]]
         factors = [f for f in factors if v not in f[0]]
+        adjoints.append(_adjoints(touching, v, rest, n))
+        reverse_cost += len(adjoints[-1]) * float(n) ** (len(rest) + 1)
         if not touching:
             steps.append(_Step((), (), False, None, ()))
             continue
@@ -161,62 +204,48 @@ def plan_elimination(H: Graph, n: int, pinned: tuple = ()) -> EliminationPlan:
     # a factor left off the pinned vertices would be a planning bug
     assert all(set(vars_) <= set(pinned) for vars_, _ in factors)
     return EliminationPlan(
-        tuple(order), tuple(arities), cost, H.edge_count, tuple(steps), pinned,
-        tuple(s for _, s in factors), _layouts(factors, pinned, n),
+        tuple(order), tuple(arities), cost, H.edge_count, tuple(steps), tuple(adjoints),
+        cost + reverse_cost,
     )
 
 
-@lru_cache(maxsize=PROGRAM_CACHE_SIZE)
-def _gradient_program(H: Graph, n: int) -> tuple:
-    """One plan per edge e of H: H without e, the endpoints of e pinned.
-
-    The edge-deleted graphs are planned without the plan cache, since no
-    other call asks for them.
-    """
-    return tuple(
-        plan_elimination.__wrapped__(Graph(H.vertex_count, H.edges - {edge}), n, pinned=edge)
-        for edge in H.edge_list
-    )
-
-
-def _run(program: EliminationPlan, Bs: np.ndarray, weight: np.ndarray):
+def _run(program: EliminationPlan, Bs: np.ndarray, weight: np.ndarray, keep: bool = False):
     """Run program on each value matrix of the stack Bs (shape (k, n, n))
     with the unary weight at every vertex.
 
-    Returns (scalars, factors over the pinned vertices), each with the stack
-    axis first; the factors are None when nothing is pinned, and pinned
-    weights are left to the caller.
+    Returns (scalars, record), the scalars with the stack axis first.  With
+    keep, record is (slots, parts) for the reverse pass: every slot's array,
+    and the scalar of each step that ends in one (an isolated vertex or a
+    component's last sum) in step order; scalars is their product.
     """
     k, n = len(Bs), len(weight)
     if k == 0:
         # reshape cannot infer the axes of an empty stack
-        return np.zeros(0), np.zeros((0,) + (n,) * len(program.pinned)) if program.pinned else None
+        return np.zeros(0), None
     column = weight.reshape(n, 1)
     slots = [Bs] * program.edge_count + [None] * len(program.steps)
+    parts = []
     scalar = np.ones(k)
     for step_slots, layouts, lead, out, out_shape in program.steps:
         if not step_slots:
-            scalar *= float(weight.sum())
+            parts.append(float(weight.sum()))
+            scalar *= parts[-1]
             continue
         merged = None
         for slot, (perm, shape) in zip(step_slots, layouts):
             arr = slots[slot].transpose(perm).reshape(shape)
-            slots[slot] = None
+            if not keep:
+                slots[slot] = None
             merged = arr if merged is None else merged * arr
         merged = np.ascontiguousarray(merged)
         matrix = merged.reshape(k, n, -1).transpose(0, 2, 1) if lead else merged.reshape(k, -1, n)
         summed = np.matmul(matrix, column)
         if out is None:
-            scalar = scalar * summed[:, 0, 0]
+            parts.append(summed[:, 0, 0])
+            scalar = scalar * parts[-1]
         else:
             slots[out] = summed.reshape((k,) + out_shape)
-    if not program.pinned:
-        return scalar, None
-    # seeded with ones: the tail may be empty (K2) or span one pinned vertex
-    factor = np.ones((k,) + (n,) * len(program.pinned))
-    for slot, (perm, shape) in zip(program.tail_slots, program.tail_layouts):
-        factor = factor * slots[slot].transpose(perm).reshape(shape)
-    return scalar, factor
+    return scalar, (slots, parts) if keep else None
 
 
 def hom_density(H: Graph, W: StepGraphon) -> float:
@@ -300,29 +329,54 @@ def grad_hom_density(H: Graph, W: StepGraphon) -> np.ndarray:
     """Gradient of t(H, .) in the symmetric parametrization.
 
     Entry (i, j) is the derivative with respect to the single parameter
-    controlling both values[i][j] and values[j][i]; off-diagonal entries
-    therefore accumulate both orientations of every pinned edge.
+    controlling both values[i][j] and values[j][i]: with A the sum over the
+    edges of H of the derivative by that edge's value matrix, G = A + A^T
+    off the diagonal and A's own diagonal on it.
     """
     return grad_hom_densities(H, W.values[None], W.measures)[0]
 
 
 def grad_hom_densities(H: Graph, Bs: np.ndarray, measures: np.ndarray) -> np.ndarray:
     """grad_hom_density for each value matrix of the stack Bs, as a stack,
-    on the block measures given; unvalidated, as in hom_densities."""
-    n = len(measures)
-    plans = _gradient_program(H, n)
-    # each pinned plan runs on its own, so the costliest one is charged
-    cost = max((plan.cost for plan in plans), default=0.0)
-    charge(cost, DEFAULT_CELL_BUDGET, "elimination plan", "cells")
-    G = np.zeros((len(Bs), n, n))
-    outer_mu = np.outer(measures, measures)
+    on the block measures given; unvalidated, as in hom_densities.
+
+    One forward run of the density plan, then its reverse pass; nothing is
+    divided, since entries may be 0.
+    """
+    n, k = len(measures), len(Bs)
+    plan = plan_elimination(H, n)
+    charge(plan.gradient_cost, DEFAULT_CELL_BUDGET, "elimination plan", "cells")
+    A = np.zeros((k, n, n))
+    if k == 0:
+        return A
+    _, (slots, parts) = _run(plan, Bs, measures, keep=True)
+    # a scalar's adjoint is the product of the others, by prefix and suffix
+    prefix, suffix = [np.ones(k)], [np.ones(k)]
+    for part, back in zip(parts, reversed(parts)):
+        prefix.append(prefix[-1] * part)
+        suffix.append(suffix[-1] * back)
+    seeds = [prefix[i] * suffix[len(parts) - 1 - i] for i in range(len(parts))]
+    pending = {}
+    for step, adjoints in zip(reversed(plan.steps), reversed(plan.adjoints)):
+        bar = seeds.pop() if step.out is None else pending.pop(step.out)
+        factors = [slots[slot] for slot in step.slots]
+        if len(adjoints) > 1:
+            products = [reduce(mul, (factors[i] for i in adjoint[0])) for adjoint in adjoints]
+        for j, (members, subscripts, weight_shape) in enumerate(adjoints):
+            if weight_shape is None:
+                common = np.einsum(subscripts, bar, measures)
+            else:
+                common = np.einsum(subscripts, bar, *products[:j], *products[j + 1:])
+                common *= measures.reshape(weight_shape)
+            for i in members:
+                adjoint = reduce(mul, (factors[m] for m in members if m != i), common)
+                if step.slots[i] < plan.edge_count:
+                    A += adjoint
+                else:
+                    pending[step.slots[i]] = adjoint
+    G = A + A.transpose(0, 2, 1)
     diagonal = np.arange(n)
-    for plan in plans:
-        scalars, factors = _run(plan, Bs, measures)
-        T = scalars[:, None, None] * factors * outer_mu
-        S = T + T.transpose(0, 2, 1)
-        S[:, diagonal, diagonal] = T[:, diagonal, diagonal]
-        G += S
+    G[:, diagonal, diagonal] = A[:, diagonal, diagonal]
     return G
 
 

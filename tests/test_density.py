@@ -147,8 +147,9 @@ def test_plan_elimination_tree_width_on_cycle():
 
 
 def test_plan_respects_pinned():
+    # pinned vertices shape the order and the cost, and are never eliminated
     plan = plan_elimination(clique(3), 4, pinned=(0, 1))
-    assert plan.order == (2,)
+    assert plan.order == (2,) and plan.arities == (3,) and plan.cost == 4.0**3
 
 
 def test_gradient_matches_finite_differences():
@@ -248,6 +249,9 @@ def _oracle_density(H, W, weight):
 
 
 def _oracle_gradient(H, W):
+    """The gradient as the engine computed it before its reverse pass: one
+    contraction per edge of H, that edge deleted and its endpoints pinned,
+    and the factor left over them times the other components' scalar."""
     n, mu = W.n, W.measures
     G = np.zeros((n, n))
     outer_mu = np.outer(mu, mu)
@@ -261,8 +265,8 @@ def _oracle_gradient(H, W):
 
 
 ORACLE_PATTERNS = {
-    "K2": clique(2),  # the gradient's pinned tail has no factors
-    "P3": path_graph(2),  # a pinned tail factor spans one pinned vertex
+    "K2": clique(2),  # the oracle gradient's pinned tail has no factors
+    "P3": path_graph(2),  # its pinned tail factor spans one pinned vertex
     "K3": clique(3),
     "K4": clique(4),
     "C5": cycle_graph(5),
@@ -303,10 +307,34 @@ def test_compiled_engine_matches_interpretive_oracle(n):
             t = hom_density(H, W)
             assert t == _oracle_density(H, W, W.measures), case
             assert hom_density_weighted(H, W, omega) == _oracle_density(H, W, weight), case
-            assert np.array_equal(grad_hom_density(H, W), _oracle_gradient(H, W)), case
             if n**H.vertex_count <= 50_000:
                 naive = hom_density_naive(H, W)
                 assert math.isclose(t, naive, rel_tol=1e-12, abs_tol=0.0), case
+
+
+def _gradient_oracle_patterns():
+    patterns = _plan_oracle_patterns()
+    patterns["two triangles"] = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    patterns["P3+K2+2 isolated"] = Graph(7, [(5, 1), (1, 3), (0, 6)])
+    patterns["edgeless"] = Graph(4, [])
+    patterns["one vertex"] = Graph(1, [])
+    return patterns
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_reverse_pass_gradient_matches_pinned_plan_oracle(n):
+    # every term of every entry is non-negative, so nothing cancels and the
+    # two summation orders agree to a few ulps relative; a zero entry (0/1
+    # graphons, zero-measure blocks) must come out exactly zero
+    rng = np.random.default_rng([2026, n])
+    graphons = _oracle_graphons(n, rng)
+    for wname in ("uniform", "tiny blocks", "zero-one"):
+        W = graphons[wname]
+        for hname, H in _gradient_oracle_patterns().items():
+            np.testing.assert_allclose(
+                grad_hom_density(H, W), _oracle_gradient(H, W), rtol=1e-13, atol=0.0,
+                err_msg=str((wname, hname)),
+            )
 
 
 # --- stacked calls against the one-graphon calls they stack -------------------------
@@ -389,14 +417,20 @@ def test_stacked_calls_charge_once_per_stack(monkeypatch):
     H, n = clique(3), 4
     Bs = _random_values(np.random.default_rng(3), n, 64)
     mu = np.full(n, 1.0 / n)
-    cost = plan_elimination(H, n).cost
-    monkeypatch.setenv("GRAPHONLAB_BUDGET", repr(cost))
+    plan = plan_elimination(H, n)
+    monkeypatch.setenv("GRAPHONLAB_BUDGET", repr(plan.cost))
     hom_densities(H, Bs, mu)
-    grad_hom_densities(H, Bs, mu)
     path_powers(Bs, mu, 2)  # n^3 cells
-    monkeypatch.setenv("GRAPHONLAB_BUDGET", repr(cost - 1))
+    monkeypatch.setenv("GRAPHONLAB_BUDGET", repr(plan.cost - 1))
     with pytest.raises(BudgetExceededError, match="^elimination plan needs 84 cells"):
         hom_densities(H, Bs[:1], mu)
+    # the reverse pass adds n^arity cells per factor scope of each step:
+    # 2 * 64 + 1 * 16 + 1 * 4 = 148 on top of the forward pass's 84
+    monkeypatch.setenv("GRAPHONLAB_BUDGET", repr(plan.gradient_cost))
+    grad_hom_densities(H, Bs, mu)
+    monkeypatch.setenv("GRAPHONLAB_BUDGET", repr(plan.gradient_cost - 1))
+    with pytest.raises(BudgetExceededError, match="^elimination plan needs 232 cells"):
+        grad_hom_densities(H, Bs[:1], mu)
 
 
 # --- one-pass planner against the two passes it replaced ---------------------------
@@ -430,15 +464,18 @@ def _oracle_order(H, n, pinned):
 
 def _oracle_plan(H, n, pinned=()):
     """The order replayed on factor scopes: (order, arities, cost, steps,
-    tail slots, tail layouts), each step a density._Step."""
+    gradient cost), each step a density._Step; the gradient cost adds
+    n^arity per distinct factor scope of each step to the cost."""
     order, arities, cost = _oracle_order(H, n, pinned)
     edges = H.edge_list
     factors = [(edge, slot) for slot, edge in enumerate(edges)]
     next_slot = len(edges)
     steps = []
-    for v in order:
+    gradient_cost = cost
+    for v, arity in zip(order, arities):
         touching = [f for f in factors if v in f[0]]
         factors = [f for f in factors if v not in f[0]]
+        gradient_cost += len({vars_ for vars_, _ in touching}) * float(n) ** arity
         if not touching:
             steps.append(density._Step((), (), False, None, ()))
             continue
@@ -454,8 +491,8 @@ def _oracle_plan(H, n, pinned=()):
         slots = tuple(slot for _, slot in touching)
         steps.append(density._Step(slots, density._layouts(touching, axes, n), lead, out,
                                    (n,) * len(rest)))
-    tail_slots = tuple(slot for _, slot in factors)
-    return order, arities, cost, tuple(steps), tail_slots, density._layouts(factors, pinned, n)
+    assert all(set(vars_) <= set(pinned) for vars_, _ in factors)
+    return order, arities, cost, tuple(steps), gradient_cost
 
 
 def _relabelled(H, rng):
@@ -479,18 +516,17 @@ def _plan_oracle_patterns():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_one_pass_plan_matches_two_pass_oracle(n):
     for hname, H in _plan_oracle_patterns().items():
-        # plain, each edge deleted and pinned as a gradient plans it, and
-        # each edge kept and pinned in reverse, so a tail factor is transposed
+        # plain, each edge deleted and pinned as the benchmark's tracer
+        # plans it, and each edge kept and pinned in reverse
         cases = [(H, ())]
         for u, v in H.edge_list:
             cases.append((Graph(H.vertex_count, H.edges - {(u, v)}), (u, v)))
             cases.append((H, (v, u)))
         for G, pinned in cases:
             plan = plan_elimination.__wrapped__(G, n, pinned)
-            got = (plan.order, plan.arities, plan.cost, plan.steps,
-                   plan.tail_slots, plan.tail_layouts)
+            got = (plan.order, plan.arities, plan.cost, plan.steps, plan.gradient_cost)
             assert got == _oracle_plan(G, n, pinned), (hname, pinned)
-            assert plan.edge_count == G.edge_count and plan.pinned == pinned
+            assert plan.edge_count == G.edge_count and len(plan.adjoints) == len(plan.steps)
 
 
 def test_second_density_call_is_a_plan_cache_hit():
@@ -509,20 +545,20 @@ def test_second_density_call_is_a_plan_cache_hit():
     assert density._layout.cache_info() == layouts
 
 
-def test_gradient_programs_leave_plan_cache_alone():
-    # a gradient plans its edge-deleted graphs inside its own cache entry,
-    # so fresh patterns add no plan-cache entry, and both caches stay bounded
+def test_gradient_runs_the_density_plan():
+    # a gradient plans through the one plan cache: after a density of the
+    # same (H, n) it is a hit, and fresh patterns keep the cache bounded
     W = gen_random(3, seed=2)
     base = ORACLE_PATTERNS["K4 subdivided"]
     rng = np.random.default_rng(5)
-    before = plan_elimination.cache_info()
     for _ in range(PROGRAM_CACHE_SIZE + 8):
-        perm = [int(p) for p in rng.permutation(base.vertex_count)]
-        H = Graph(base.vertex_count, [(perm[u], perm[v]) for u, v in base.edges])
+        H = _relabelled(base, rng)
+        hom_density(H, W)
+        before = plan_elimination.cache_info()
         grad_hom_density(H, W)
-    assert plan_elimination.cache_info() == before
-    assert density._gradient_program.cache_info().currsize <= PROGRAM_CACHE_SIZE
-    assert plan_elimination.cache_info().currsize <= PROGRAM_CACHE_SIZE
+        after = plan_elimination.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert after.currsize <= PROGRAM_CACHE_SIZE
 
 
 def _no_arithmetic(*args, **kwargs):
@@ -530,21 +566,15 @@ def _no_arithmetic(*args, **kwargs):
 
 
 def test_budget_checked_before_any_arithmetic(monkeypatch):
-    # pinning (1, 4) costs more than pinning any other edge, so only the
-    # third pinned plan exceeds grad_budget
+    # a gradient is charged its forward and reverse pass as one sum, so a
+    # budget between that and the density's cost stops the gradient only
     H = Graph(6, [(0, 4), (0, 5), (1, 4), (2, 3), (2, 5), (3, 5)])
     W = gen_random(5, seed=3)
     omega = np.linspace(0.5, 1.5, 5)
     cost = plan_elimination(H, W.n).cost
-    edge_costs = [
-        plan_elimination.__wrapped__(
-            Graph(H.vertex_count, [e for e in H.edge_list if e != edge]), W.n, pinned=edge
-        ).cost
-        for edge in H.edge_list
-    ]
-    grad_budget = (min(edge_costs) + max(edge_costs)) / 2
-    first_over = next(c for c in edge_costs if c > grad_budget)
-    assert edge_costs[0] < grad_budget < first_over
+    grad_cost = _oracle_plan(H, W.n)[4]
+    grad_budget = grad_cost - 1
+    assert cost < grad_budget
 
     def check_budget_errors():
         with monkeypatch.context() as m:
@@ -556,18 +586,20 @@ def test_budget_checked_before_any_arithmetic(monkeypatch):
             with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
                 hom_density_weighted(H, W, omega)
             m.setenv("GRAPHONLAB_BUDGET", repr(grad_budget))
-            message = f"elimination plan needs {first_over:g} cells, budget {grad_budget:g}"
+            message = f"elimination plan needs {grad_cost:g} cells, budget {grad_budget:g}"
             with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
                 grad_hom_density(H, W)
 
     plan_elimination.cache_clear()
-    density._gradient_program.cache_clear()
     check_budget_errors()
     hom_density(H, W)
     grad_hom_density(H, W)
-    check_budget_errors()  # with both plans cached
+    check_budget_errors()  # with the plan cached
     # a budget equal to the cost passes
     with monkeypatch.context() as m:
         m.setenv("GRAPHONLAB_BUDGET", repr(cost))
         at_cost = hom_density(H, W)
+        m.setenv("GRAPHONLAB_BUDGET", repr(grad_cost))
+        grad_at_cost = grad_hom_density(H, W)
     assert at_cost == hom_density(H, W)
+    assert np.array_equal(grad_at_cost, grad_hom_density(H, W))
