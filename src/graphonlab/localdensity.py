@@ -15,10 +15,11 @@ is therefore a clique of the convexity graph: the graph on the blocks with an
 edge wherever c_ij >= 0 (Scozzari and Tardella, "A clique algorithm for
 standard quadratic programming", Discrete Appl. Math. 156, 2008).  The exact
 solver decides each edge exactly, grows the cliques class by class from the
-smaller ones, and solves the stationarity system of every clique support and
-of every pair.  No other support is visited.  On uniform random matrices of 14
-blocks 62 to 223 of the 16 383 supports were cliques (five seeds); on a
-constant graphon or a walk kernel W_7 nearly all are.
+single blocks, the edges being the 2-cliques, and solves the stationarity
+system of every clique support.  No other support is visited.  On uniform
+random matrices of 14 blocks (gen_random, seeds 0 to 4) 62 to 223 of the
+16 383 supports were cliques of two or more blocks, pairs included (27 to 172
+of three or more); on a constant graphon or a walk kernel W_7 nearly all are.
 
 An exactly singular stationarity system can be skipped: its face then holds
 either no interior stationary point or a line of them, and in both cases the
@@ -92,14 +93,12 @@ def project_to_simplex(y: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _upper(n: int) -> tuple:
-    """The pairs i < j of n blocks: as a boolean (n, n) mask, and as rows (i, j)
-    in lexicographic order."""
+def _upper(n: int) -> np.ndarray:
+    """The pairs i < j of n blocks as a read-only boolean (n, n) mask, cached:
+    masking a stack with it is cheaper than np.triu on the stack."""
     mask = ~np.tri(n, dtype=bool)
-    pairs = np.argwhere(mask)
-    for array in (mask, pairs):
-        array.flags.writeable = False
-    return mask, pairs
+    mask.flags.writeable = False
+    return mask
 
 
 def _convexity_edges(Bs: np.ndarray) -> np.ndarray:
@@ -123,54 +122,42 @@ def _convexity_edges(Bs: np.ndarray) -> np.ndarray:
     c = s - 2.0 * Bs
     virtual = s - a
     c = np.where(c == 0.0, (a - (s - virtual)) + (b - virtual), c)
-    return (c >= 0.0) & _upper(Bs.shape[1])[0]
+    return (c >= 0.0) & _upper(Bs.shape[1])
 
 
 def _cliques(edges: np.ndarray) -> list:
-    """The cliques of three or more vertices of each graph of the stack edges
-    (upper triangles, as from _convexity_edges), one class per cardinality r:
-    (owner, sets), each clique's matrix and its vertices as a row of sets
-    (shape (m, r)), in (matrix, lexicographic) order.
+    """The cliques of two or more vertices of each graph of the stack edges
+    (upper triangles, as from _convexity_edges), one non-empty class per
+    cardinality r = 2, 3, ...: (owner, sets), each clique's matrix and its
+    vertices as a row of sets (shape (m, r)), in (matrix, lexicographic)
+    order.  The pairs are the first class, the edges themselves.
 
     Each r-clique is grown from the (r-1)-clique of its first r - 1 vertices
-    by a common neighbour above its last vertex; common holds those
-    neighbours for every clique of a class.  Children in parent order, new
-    vertex ascending, are the lexicographic order, so no class is sorted and
-    no other support is visited."""
-    n = edges.shape[1]
-    owner, i, j = np.nonzero(edges)
-    sets = np.concatenate([i[:, None], j[:, None]], axis=1)
-    common = edges[owner, i] & edges[owner, j]
+    by a common neighbour above its last vertex, starting from the single
+    vertices; common holds those neighbours for every clique of a class.
+    Children in parent order, new vertex ascending, are the lexicographic
+    order, so no class is sorted and no other support is visited."""
+    k, n, _ = edges.shape
+    owner = np.arange(k).repeat(n)
+    sets = np.tile(np.arange(n), k)[:, None]
+    common = edges.reshape(k * n, n)
     classes = []
-    for r in range(3, n + 1):
+    while True:
         parent, new = np.nonzero(common)
         if len(parent) == 0:
-            break
+            return classes
         owner = owner[parent]
         sets = np.concatenate([sets[parent], new[:, None]], axis=1)
         classes.append((owner, sets))
-        if r < n:  # an n-clique has no neighbour left
-            common = common[parent] & edges[owner, new]
-    return classes
+        common = common[parent] & edges[owner, new]
 
 
-def _quadratic_values(xs: np.ndarray, subs: np.ndarray, owner: np.ndarray, k: int) -> np.ndarray:
-    """x^T S x for each row x of xs and S of subs; owner is the row's matrix
-    among k.
-
-    The terms x_i S_ij x_j are added one by one in row-major order, except on
-    a 2 x 2 system that is its matrix's only candidate of the class, which
-    adds its two row sums.  That is the order np.einsum("mi,mij,mj->m", ...)
-    takes over one matrix's candidates, so the values match the one-matrix
-    computation bit for bit; one einsum over a whole stack would sum such lone
-    rows differently."""
+def _quadratic_values(xs: np.ndarray, subs: np.ndarray) -> np.ndarray:
+    """x^T S x for each row x of xs and S of subs, its terms x_i S_ij x_j
+    added one by one in row-major order: the same order for every candidate,
+    so a value does not depend on what else is solved."""
     m, r = xs.shape
     terms = (xs[:, :, None] * subs) * xs[:, None, :]
-    if r == 2:
-        lone = np.bincount(owner, minlength=k)[owner] == 1
-        row_sums = terms[:, :, 0] + terms[:, :, 1]
-        in_order = (row_sums[:, 0] + terms[:, 1, 0]) + terms[:, 1, 1]
-        return np.where(lone, row_sums[:, 0] + row_sums[:, 1], in_order)
     return np.cumsum(terms.reshape(m, r * r), axis=1)[:, -1]
 
 
@@ -182,23 +169,19 @@ def _condition_bounds(K: np.ndarray, dets: np.ndarray) -> np.ndarray:
         return np.einsum("kij,kij->k", K, K) ** (K.shape[-1] / 2) / np.abs(dets)
 
 
-def _candidate_arrays(Bs: np.ndarray, edges: np.ndarray, cliques: list) -> tuple:
+def _candidate_arrays(Bs: np.ndarray, cliques: list) -> tuple:
     """Candidate minimizers of the stack Bs (shape (k, n, n)) as three flat
     arrays (owner, values, witnesses): each candidate's matrix, its value and
     its witness.  Each matrix's candidates come in scan order, interleaved
     with the other matrices': vertices first, then the interior stationary
-    points of the pairs, then of the supports of cliques, class by class.
+    points of the supports of cliques, class by class.
 
-    This is the one enumerator.  edges holds a graph per matrix (upper
-    triangles, as from _convexity_edges), and cliques the supports of three
-    or more blocks to solve, per cardinality (owner, sets) as from _cliques:
-    each support's matrix and its blocks as a row of sets, in (matrix,
-    lexicographic) order.  Every pair is solved, and a pair's candidate is
-    kept when the pair is an edge.  It is dropped only after its value is
-    computed, because a pair's value depends on how many pair candidates its
-    matrix has (see _quadratic_values).  A support gets the same arithmetic
-    whatever else is solved, so each candidate is bit for bit the one of
-    enumerating every support on the complete graph.
+    This is the one enumerator.  cliques holds the supports of two or more
+    blocks to solve, per cardinality (owner, sets) as from _cliques: each
+    support's matrix and its blocks as a row of sets, in (matrix,
+    lexicographic) order.  A support gets the same arithmetic whatever else
+    is solved, so each candidate is bit for bit the one of enumerating every
+    support.
 
     Each cardinality class of the whole stack is solved as one stacked KKT
     system.  Only the supports whose solution is strictly interior are then
@@ -232,11 +215,8 @@ def _candidate_arrays(Bs: np.ndarray, edges: np.ndarray, cliques: list) -> tuple
     owners = [np.repeat(np.arange(k), n)]
     values = [Bs.diagonal(axis1=1, axis2=2).reshape(-1)]
     witnesses = [np.tile(np.eye(n), (k, 1))]
-    pairs = _upper(n)[1]
-    for owner, sets in [(np.arange(k).repeat(len(pairs)), np.tile(pairs, (k, 1)))] + cliques:
+    for owner, sets in cliques:
         m, r = sets.shape
-        if m == 0:
-            continue
         subs = Bs[owner[:, None, None], sets[:, :, None], sets[:, None, :]]
         K = np.zeros((m, r + 1, r + 1))
         K[:, :r, :r] = 2.0 * subs
@@ -270,14 +250,10 @@ def _candidate_arrays(Bs: np.ndarray, edges: np.ndarray, cliques: list) -> tuple
         if len(inner) == 0:
             continue
         owner, sets, xs = owner[inner], sets[inner], sols[inner]
-        value = _quadratic_values(xs, subs[inner], owner, k)
-        if r == 2:
-            on = edges[owner, sets[:, 0], sets[:, 1]]
-            owner, sets, xs, value = owner[on], sets[on], xs[on], value[on]
-        picked = np.zeros((len(owner), n))
-        picked[np.arange(len(owner))[:, None], sets] = xs
+        picked = np.zeros((len(inner), n))
+        picked[np.arange(len(inner))[:, None], sets] = xs
         owners.append(owner)
-        values.append(value)
+        values.append(_quadratic_values(xs, subs[inner]))
         witnesses.append(picked)
     return np.concatenate(owners), np.concatenate(values), np.concatenate(witnesses)
 
@@ -291,12 +267,11 @@ def _certified_stack(Bs: np.ndarray) -> tuple:
 
     A matrix with a zero diagonal entry has d* = 0; its candidates are its
     zero-diagonal vertices and no support is enumerated.  The others go
-    through _candidate_arrays together, on their convexity graphs: every
-    candidate is a vertex or a stationary point interior to a clique support,
-    and every local minimizer is among them (module docstring).  The pairs
-    off the graph are solved as well, for the summation order of the pairs
-    on it, and then dropped: an interior stationary point of a pair with
-    c_ij < 0 is a maximum along its edge.
+    through _candidate_arrays together, on the cliques of their convexity
+    graphs, pairs included: every candidate is a vertex or a stationary point
+    interior to a clique support, and every local minimizer is among them
+    (module docstring).  A pair off the graph is never solved: an interior
+    stationary point of a pair with c_ij < 0 is a maximum along its edge.
 
     The charge stays 2^n supports per matrix, an upper bound on the supports
     visited, vertices included.  It is made before the graphs are known, and
@@ -308,8 +283,7 @@ def _certified_stack(Bs: np.ndarray) -> tuple:
     live = np.flatnonzero(np.all(diags != 0.0, axis=1))
     dead, vertex = np.nonzero(diags == 0.0)
     Ls = Bs[live]
-    edges = _convexity_edges(Ls)
-    owner, values, witnesses = _candidate_arrays(Ls, edges, _cliques(edges))
+    owner, values, witnesses = _candidate_arrays(Ls, _cliques(_convexity_edges(Ls)))
     owner = np.concatenate([live[owner], dead])
     # group by matrix; the stable sort keeps each matrix's scan order
     order = np.argsort(owner, kind="stable")
@@ -329,8 +303,8 @@ def _certificate(values: np.ndarray, witnesses: np.ndarray, row: int) -> LocalDe
 
 
 def local_density_exact(W: StepGraphon) -> LocalDensityCertificate:
-    """Global minimum of x^T B x over the simplex by enumerating the vertices,
-    the pairs and the clique supports of the convexity graph.
+    """Global minimum of x^T B x over the simplex by enumerating the vertices
+    and the clique supports of the convexity graph, pairs included.
 
     Deterministic: supports are scanned by cardinality then lexicographically,
     and ties keep the first witness found.  Raises BudgetExceededError when

@@ -274,12 +274,12 @@ def _supports(n, smallest=2):
 
 
 def _full_enumeration(Bs):
-    """_candidate_arrays over every support of the complete graph: every
+    """_candidate_arrays over every support of two or more blocks: every
     interior stationary point that passes the gate, minimizer or not.  Test
     oracle only."""
     k, n, _ = Bs.shape
-    every = [(np.repeat(np.arange(k), len(combos)), np.tile(combos, (k, 1))) for combos in _supports(n, 3)]
-    return localdensity._candidate_arrays(Bs, np.ones((k, n, n), dtype=bool), every)
+    every = [(np.repeat(np.arange(k), len(combos)), np.tile(combos, (k, 1))) for combos in _supports(n)]
+    return localdensity._candidate_arrays(Bs, every)
 
 
 def _fraction_edges(B):
@@ -461,7 +461,7 @@ def _cond_first_candidate_arrays(Bs):
         picked = np.zeros((len(rows), n))
         np.put_along_axis(picked, combos[support], xs, axis=1)
         owners.append(owner)
-        values.append(localdensity._quadratic_values(xs, subs[rows], owner, k))
+        values.append(localdensity._quadratic_values(xs, subs[rows]))
         witnesses.append(picked)
     return np.concatenate(owners), np.concatenate(values), np.concatenate(witnesses)
 
@@ -570,20 +570,20 @@ def _random_graphs(rng, n, k=6):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_parents_are_the_supports_without_their_last_index(n):
     # each clique of a class is a clique of the class before plus a vertex
-    # above its last one, and the classes hold exactly the supports of three
-    # or more vertices that are cliques, in (matrix, lexicographic) order
+    # above its last one, the single vertices being the pairs' parents, and
+    # the classes hold exactly the supports of two or more vertices that are
+    # cliques, in (matrix, lexicographic) order
     edges = _random_graphs(np.random.default_rng(500 + n), n)
     classes = localdensity._cliques(edges)
     want = []
-    for combos in _supports(n, 3):
+    for combos in _supports(n):
         pairs = np.array(list(itertools.combinations(range(combos.shape[1]), 2)))
         on = edges[:, combos[:, pairs[:, 0]], combos[:, pairs[:, 1]]].all(axis=2)
         owner, row = np.nonzero(on)
         if len(owner):
             want.append((owner, combos[row]))
     assert len(classes) == len(want)
-    owner, i, j = np.nonzero(edges)
-    before = (owner, np.stack([i, j], axis=1))
+    before = (np.arange(len(edges)).repeat(n), np.tile(np.arange(n), len(edges))[:, None])
     for (owner, sets), (owner_want, sets_want) in zip(classes, want):
         assert np.array_equal(owner, owner_want) and np.array_equal(sets, sets_want)
         parents = {(h, *row) for h, row in zip(before[0].tolist(), before[1].tolist())}
@@ -728,9 +728,9 @@ def test_only_pairs_and_cliques_are_certified(monkeypatch):
     candidate_arrays = localdensity._candidate_arrays
     solved = []
 
-    def spy(Bs, edges, cliques):
-        solved.append([len(owner) for owner, _ in cliques])
-        return candidate_arrays(Bs, edges, cliques)
+    def spy(Bs, cliques):
+        solved.append((cliques, candidate_arrays(Bs, cliques)))
+        return solved[-1][1]
 
     monkeypatch.setattr(localdensity, "_candidate_arrays", spy)
     n = 12
@@ -738,11 +738,31 @@ def test_only_pairs_and_cliques_are_certified(monkeypatch):
     B = _symmetric(rng.uniform(size=(n, n)))
     local_density_exact(StepGraphon(B, np.full(n, 1.0 / n)))
     edges = _fraction_edges(B)
-    cliques = [combos[[edges[np.ix_(c, c)].all() for c in combos]] for combos in _supports(n, 3)]
-    # every pair is solved by the enumerator itself; of the 2^n - 1 - n
-    # - n(n - 1)/2 larger supports, only the Fraction cliques are passed
-    assert solved == [[len(c) for c in cliques if len(c)]]
-    assert n * (n - 1) // 2 + sum(solved[0]) < 2**n / 20
+    cliques = [combos[[edges[np.ix_(c, c)].all() for c in combos]] for combos in _supports(n)]
+    # of the 2^n - 1 - n supports of two or more blocks, only the Fraction
+    # cliques are passed, the edges first: no pair off the graph is solved
+    ((passed, _),) = solved
+    assert np.array_equal(passed[0][1], np.argwhere(np.triu(edges, 1)))
+    assert [len(owner) for owner, _ in passed] == [len(c) for c in cliques if len(c)]
+    assert sum(len(owner) for owner, _ in passed) < 2**n / 20
+    # one summation order: a pair's candidate has the same bits as its
+    # matrix's only pair and beside interior pairs (blocks 0 and 1 of a
+    # matrix whose pairs (0, 2) and (1, 2) are edges with interior points);
+    # this block's value moved under a rule that summed a lone pair apart
+    A = np.array([[0.7756911881018284, 0.308857362719261], [0.308857362719261, 0.8631202041893178]])
+    embedded = np.full((3, 3), 0.1)
+    embedded[:2, :2] = A
+    embedded[2, 2] = 0.9
+    pair_candidates = []
+    for B in (A, embedded):
+        solved.clear()
+        local_density_exact(StepGraphon(B, np.full(len(B), 1.0 / len(B))))
+        ((_, (_, values, witnesses)),) = solved
+        pairs = np.flatnonzero(np.count_nonzero(witnesses, axis=1) == 2)
+        pair_candidates.append([(values[row], witnesses[row]) for row in pairs])
+    (alone,), beside = pair_candidates
+    assert len(beside) == 3 and np.array_equal(beside[0][1][2:], [0.0])
+    assert beside[0][0] == alone[0] and np.array_equal(beside[0][1][:2], alone[1])
 
 
 def test_is_locally_dense():
