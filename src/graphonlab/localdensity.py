@@ -24,15 +24,15 @@ of three or more); on a constant graphon or a walk kernel W_7 nearly all are.
 An exactly singular stationarity system can be skipped: its face then holds
 either no interior stationary point or a line of them, and in both cases the
 face's minimum is attained on a sub-face too, whose support is enumerated.
-Every system is solved first, and only the solutions that are strictly
-interior are gated by condition number.  A determinant bound clears almost
-all of them; the condition number itself, an SVD, is computed only for the few
-the bound cannot clear.  Dropping an ill-conditioned but regular system is
-not safe in the same way.  For W = 0.5 J + 1e-12 I on n uniform blocks the
-minimum 0.5 + 1e-12 / n is attained only at the barycenter, whose system (and
-every pair's) the gate drops, so the solver returns a vertex, 0.5 + 1e-12:
-6.7e-13 too high at n = 3 (ROADMAP.md, "Certify what the condition gate
-drops").
+Every other system is solved by LU with partial pivoting, which is backward
+stable (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+chapter 9): the computed solution solves a system within O(u ||K||) of the
+face's.  A solution with every entry positive therefore sums to 1 up to
+rounding, so it is a point of the simplex, and its value, computed from its
+entries, is one the quadratic takes there.  That holds whatever the system's
+condition number, so no system is dropped for being ill-conditioned: for
+W = 0.5 J + 1e-12 I the minimum 0.5 + 1e-12 / n is at the barycenter, whose
+system is ill-conditioned but solved.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ import numpy as np
 from .budget import DEFAULT_ESTIMATE_BUDGET, DEFAULT_GRID_BUDGET, DEFAULT_SUPPORT_BUDGET, charge
 from .stepgraphon import StepGraphon
 
-CONDITION_LIMIT = 1e12
 PGD_MAX_ITERATIONS = 10**4
 PGD_STOP_TOL = 1e-10
 ARMIJO_SIGMA = 1e-4  # sufficient-decrease coefficient
@@ -161,14 +160,6 @@ def _quadratic_values(xs: np.ndarray, subs: np.ndarray) -> np.ndarray:
     return np.cumsum(terms.reshape(m, r * r), axis=1)[:, -1]
 
 
-def _condition_bounds(K: np.ndarray, dets: np.ndarray) -> np.ndarray:
-    """||K||_F^m / |det K| for each m x m matrix of the stack K, given its
-    determinant: an upper bound on its 2-norm condition number (inf or nan
-    where the det is 0 or not finite)."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.einsum("kij,kij->k", K, K) ** (K.shape[-1] / 2) / np.abs(dets)
-
-
 def _candidate_arrays(Bs: np.ndarray, cliques: list) -> tuple:
     """Candidate minimizers of the stack Bs (shape (k, n, n)) as three flat
     arrays (owner, values, witnesses): each candidate's matrix, its value and
@@ -184,30 +175,10 @@ def _candidate_arrays(Bs: np.ndarray, cliques: list) -> tuple:
     support.
 
     Each cardinality class of the whole stack is solved as one stacked KKT
-    system.  Only the supports whose solution is strictly interior are then
-    gated: those whose system has condition number beyond CONDITION_LIMIT are
-    dropped (which is safe for exactly singular systems only; see the module
-    docstring).  Solving first and gating the few interior rows keeps the
-    same candidates as gating every row.  Exactly singular systems, whose LU
-    factorisation meets a zero pivot, get no solution and are dropped too.
-
-    The gate clears most rows without an SVD.  For an m x m matrix K with
-    singular values s_1 >= ... >= s_m, |det K| = s_1 ... s_m <= s_1^(m-1) s_m
-    and s_1 <= ||K||_F, so cond_2(K) = s_1 / s_m <= ||K||_F^m / |det K|.  A row
-    whose bound is finite and at most CONDITION_LIMIT / 100 is kept; every
-    other row (bound above that, a zero or a non-finite det) is kept only if
-    np.linalg.cond says so, as before.  The factor 100 is margin for
-    rounding.  LU is backward stable: the computed det is the exact det of
-    K + E with ||E|| <= c eps ||K|| for a small c, which moves each singular
-    value by at most ||E||.  If cond(K) > CONDITION_LIMIT = 1e12, then
-    s_m < 1e-12 s_1, the perturbed s_m stays below (1e-12 + c eps) s_1, and
-    the computed bound stays above about 1 / (1e-12 + c eps).  That reaches
-    CONDITION_LIMIT / 100 only for c above about 4e5, far beyond the growth
-    of partial pivoting on these systems; so the computed det cannot clear a
-    system whose true condition number is above about 1e10, let alone one
-    beyond CONDITION_LIMIT.  On a cleared row the SVD's own relative error
-    is near eps * 1e10, so np.linalg.cond would keep it too, and the kept
-    rows are exactly those it keeps.
+    system, and the supports whose solution is strictly interior are kept,
+    however ill-conditioned their system (module docstring).  Exactly
+    singular systems, whose LU factorisation meets a zero pivot, get no
+    solution and are dropped.
 
     Every step acts on each KKT system on its own, so a matrix's candidates
     are bit for bit the same whatever else is stacked with it."""
@@ -224,29 +195,17 @@ def _candidate_arrays(Bs: np.ndarray, cliques: list) -> tuple:
         K[:, r, :r] = 1.0
         rhs = np.zeros((m, r + 1, 1))
         rhs[:, r, 0] = 1.0
-        dets = None
         try:
             sols = np.linalg.solve(K, rhs)[:, :r, 0]
         except np.linalg.LinAlgError:
-            # det and solve factorise alike, so a zero pivot makes the det 0
-            # (a det that underflows to 0 belongs to a system far beyond
-            # CONDITION_LIMIT); those rows stay outside the simplex
-            dets = np.linalg.det(K)
-            regular = np.isfinite(dets) & (dets != 0.0)
+            # slogdet and solve factorise alike, so the sign is 0 exactly at
+            # a zero pivot (a det could underflow to 0 on a regular system);
+            # those rows stay outside the simplex
+            signs, _ = np.linalg.slogdet(K)
+            regular = signs != 0.0
             sols = np.full((m, r), -1.0)
             sols[regular] = np.linalg.solve(K[regular], rhs[regular])[:, :r, 0]
         inner = np.nonzero(np.all(sols > 0.0, axis=1))[0]
-        if len(inner) == 0:
-            continue
-        gated = K[inner]
-        bounds = _condition_bounds(gated, np.linalg.det(gated) if dets is None else dets[inner])
-        keep = np.isfinite(bounds) & (bounds <= CONDITION_LIMIT / 100)
-        unclear = np.flatnonzero(~keep)
-        if len(unclear):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                conds = np.linalg.cond(gated[unclear])
-            keep[unclear] = np.isfinite(conds) & (conds <= CONDITION_LIMIT)
-        inner = inner[keep]
         if len(inner) == 0:
             continue
         owner, sets, xs = owner[inner], sets[inner], sols[inner]
@@ -321,9 +280,10 @@ def local_density_subgradient(W: StepGraphon, tie_tol: float = 1e-10):
 
     The tie set is every candidate within tie_tol of d*: the vertices and the
     stationary points interior to clique supports of the convexity graph
-    (see local_density_subgradients).  For symmetric directions D, the
-    directional derivative of d* at W is sum_ij P_ij D_ij with P the
-    returned matrix (exact when the minimizer is unique)."""
+    (see local_density_subgradients), those of nearly degenerate faces
+    included.  For symmetric directions D, the directional derivative of d*
+    at W is sum_ij P_ij D_ij with P the returned matrix (exact when the
+    minimizer is unique)."""
     return local_density_subgradients(W.values[None], tie_tol)[0]
 
 
@@ -356,11 +316,14 @@ def local_density_subgradients(Bs, tie_tol: float = 1e-10) -> list:
     cliques of its convexity graph (pairs included), within tie_tol.  A
     stationary point on any other support is a saddle or a maximum, never a
     minimizer, so it is not in the tie set even when its value is within
-    tie_tol.  At a zero diagonal the tie set is all the zero-diagonal
-    vertices.  Most matrices have one candidate in it, the certificate's
-    witness x, and P = x x^T for all of them at once: the same bits as
-    averaging one outer product.  Real tie sets go through _averaged_outer
-    one matrix at a time.
+    tie_tol.  A nearly degenerate clique face, whose KKT system is
+    ill-conditioned, is solved like any other, so its interior stationary
+    point enters the tie set too: on 0.5 J + 1e-12 I every support's
+    barycenter lies within tie_tol = 1e-10.  At a zero diagonal the tie set
+    is all the zero-diagonal vertices.  Most matrices have one candidate in
+    it, the certificate's witness x, and P = x x^T for all of them at once:
+    the same bits as averaging one outer product.  Real tie sets go through
+    _averaged_outer one matrix at a time.
 
     The solver charges 2^n supports per stack, whatever the graphs: an upper
     bound on the supports it visits, which a constant graphon, whose

@@ -1,6 +1,5 @@
 import itertools
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -236,7 +235,11 @@ def _stack_inputs(rng, n):
     duplicated[:, 1] = duplicated[0, :]
     duplicated[1, 1] = duplicated[0, 0]
     constants = [np.full((n, n), d) for d in (0.3, 0.5, 1.0)]
-    return uniform + rounded + constants + [zero_diagonal, one_zero, duplicated]
+    # regular KKT systems whose determinant underflows to 0 from 5 blocks
+    # on: the singular-row mask, which the constants' systems set off, must
+    # not take them for singular
+    tiny = 1e-100 * (0.1 + 0.9 * np.eye(n))
+    return uniform + rounded + constants + [zero_diagonal, one_zero, duplicated, tiny]
 
 
 def _assert_same(got, want):
@@ -275,8 +278,7 @@ def _supports(n, smallest=2):
 
 def _full_enumeration(Bs):
     """_candidate_arrays over every support of two or more blocks: every
-    interior stationary point that passes the gate, minimizer or not.  Test
-    oracle only."""
+    interior stationary point, minimizer or not.  Test oracle only."""
     k, n, _ = Bs.shape
     every = [(np.repeat(np.arange(k), len(combos)), np.tile(combos, (k, 1))) for combos in _supports(n)]
     return localdensity._candidate_arrays(Bs, every)
@@ -291,19 +293,23 @@ def _fraction_edges(B):
 
 def _on_cliques(B, xs):
     """Whether each row of xs has a support that is a clique of B's convexity
-    graph, with the edges decided by Fraction."""
-    edges = _fraction_edges(B)
-    return np.array([edges[np.ix_(support, support)].all() for support in (np.flatnonzero(x) for x in xs)], dtype=bool)
+    graph, with the edges decided by Fraction: no two of its blocks are off
+    the graph."""
+    off = (~_fraction_edges(B)).astype(int)
+    inside = (xs != 0.0).astype(int)
+    return np.einsum("ki,ij,kj->k", inside, off, inside) == 0
 
 
 def _looped_subgradients(Bs, tie_tol=1e-10):
     """local_density_subgradients as it was before the assembly was
     vectorised, over the full enumeration: the argmin, the tie set, the
-    rounding-key set and the outer products one matrix at a time.  The tie
-    set is every candidate within tie_tol of the optimum whose support is a
-    clique of the convexity graph, decided by Fraction; the argmin is taken
-    over every candidate.  (P, d*, witness, tie set) per matrix, the tie set
-    as its witness rows in scan order.  Test oracle only."""
+    rounding-key set and the outer products one matrix at a time, over the
+    candidates whose support is a clique of the convexity graph, decided by
+    Fraction.  The other candidates are saddles or maxima; on an
+    ill-conditioned face the value computed for one can fall an ulp below
+    d*, so they are left out of the argmin as well as the tie set.  (P, d*,
+    witness, tie set) per matrix, the tie set as its witness rows in scan
+    order.  Test oracle only."""
     k, n, _ = Bs.shape
     live = np.flatnonzero(np.all(np.diagonal(Bs, axis1=1, axis2=2) != 0.0, axis=1))
     owner, values, witnesses = _full_enumeration(Bs[live])
@@ -315,10 +321,11 @@ def _looped_subgradients(Bs, tie_tol=1e-10):
         else:
             xs = np.eye(n)[np.diag(B) == 0.0]
             vals = np.zeros(len(xs))
+        on = _on_cliques(B, xs)
+        vals, xs = vals[on], xs[on]
         i = int(np.argmin(vals))
         d_star = float(vals[i])
-        near = np.flatnonzero(vals <= d_star + tie_tol)
-        tie_set = xs[near[_on_cliques(B, xs[near])]]
+        tie_set = xs[vals <= d_star + tie_tol]
         tied = []
         seen = set()
         for x in tie_set:
@@ -367,34 +374,32 @@ def test_stacked_subgradients_reject_non_stacks():
             local_density_subgradients(np.zeros(shape))
 
 
-def _spy_det_masks(monkeypatch) -> list:
-    """Patch np.linalg.det to record how many rows it masks, per call made
-    while a LinAlgError is handled: the singular-row branch of the stacked
-    solve, not the condition gate, which takes dets of solved rows."""
-    det = np.linalg.det
+def _spy_singular_rows(monkeypatch) -> list:
+    """Patch np.linalg.slogdet to record, per call, how many rows it finds
+    exactly singular (sign 0).  Only the stacked solve's singular-row branch
+    calls it."""
+    slogdet = np.linalg.slogdet
     masked = []
 
     def spy(a):
-        dets = det(a)
-        if isinstance(sys.exc_info()[1], np.linalg.LinAlgError):
-            masked.append(int(np.sum(dets == 0.0)))
-        return dets
+        signs, logs = slogdet(a)
+        masked.append(int(np.sum(signs == 0.0)))
+        return signs, logs
 
-    monkeypatch.setattr(np.linalg, "det", spy)
+    monkeypatch.setattr(np.linalg, "slogdet", spy)
     return masked
 
 
 def test_stacked_subgradients_per_row_solve_fallback(monkeypatch):
-    # with the condition gate open, the singular KKT systems of a constant
-    # block make the stacked solve raise; the singular rows are masked by
-    # their determinant and the rest are solved as one stack
-    monkeypatch.setattr(localdensity, "CONDITION_LIMIT", np.inf)
+    # the singular KKT systems of a constant block make the stacked solve
+    # raise; the singular rows are masked by their zero pivot and the rest
+    # are solved as one stack
     rng = np.random.default_rng(7)
     A, C = (_symmetric(rng.uniform(size=(3, 3))) for _ in range(2))
     Bs = [A, np.full((3, 3), 0.5), C]
     mu = np.full(3, 1.0 / 3)
     singles = [local_density_subgradient(StepGraphon(B, mu)) for B in Bs]
-    masked = _spy_det_masks(monkeypatch)
+    masked = _spy_singular_rows(monkeypatch)
     stacked = local_density_subgradients(np.array(Bs))
     assert sum(masked) > 0  # the singular-row path ran
     for got, want in zip(stacked, singles):
@@ -424,10 +429,10 @@ def _kkt(subs):
     return K
 
 
-def _cond_first_candidate_arrays(Bs):
-    """The enumerator as it was before the reorder: the condition gate on
-    every KKT system, then the solve of the rows that pass it, then the
-    interior filter.  Test oracle only."""
+def _per_row_candidate_arrays(Bs):
+    """The enumerator over every support of two or more blocks, each KKT
+    system solved on its own and skipped where that solve meets a zero
+    pivot, then the interior filter.  Test oracle only."""
     k, n, _ = Bs.shape
     owners = [np.repeat(np.arange(k), n)]
     values = [Bs.diagonal(axis1=1, axis2=2).reshape(-1)]
@@ -435,35 +440,30 @@ def _cond_first_candidate_arrays(Bs):
     for combos in _supports(n):
         m, r = combos.shape
         subs = Bs[:, combos[:, :, None], combos[:, None, :]].reshape(k * m, r, r)
-        K = _kkt(subs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            conds = np.linalg.cond(K)
-        ok = np.isfinite(conds) & (conds <= localdensity.CONDITION_LIMIT)
-        if not np.any(ok):
-            continue
-        rhs = np.zeros((int(ok.sum()), r + 1, 1))
-        rhs[:, r, 0] = 1.0
-        try:
-            sols = np.linalg.solve(K[ok], rhs)[:, :r, 0]
-        except np.linalg.LinAlgError:
-            sols = np.full((int(ok.sum()), r), -1.0)
-            for row, Krow in enumerate(K[ok]):
-                try:
-                    sols[row] = np.linalg.solve(Krow, rhs[row])[:r, 0]
-                except np.linalg.LinAlgError:
-                    pass
-        interior = np.all(sols > 0.0, axis=1)
-        if not np.any(interior):
-            continue
-        rows = np.nonzero(ok)[0][interior]
+        rhs = np.zeros((r + 1, 1))
+        rhs[r, 0] = 1.0
+        sols = np.full((k * m, r), -1.0)
+        for row, K in enumerate(_kkt(subs)):
+            try:
+                sols[row] = np.linalg.solve(K, rhs)[:r, 0]
+            except np.linalg.LinAlgError:
+                pass
+        rows = np.flatnonzero(np.all(sols > 0.0, axis=1))
         owner, support = np.divmod(rows, m)
-        xs = sols[interior]
+        xs = sols[rows]
         picked = np.zeros((len(rows), n))
         np.put_along_axis(picked, combos[support], xs, axis=1)
         owners.append(owner)
         values.append(localdensity._quadratic_values(xs, subs[rows]))
         witnesses.append(picked)
     return np.concatenate(owners), np.concatenate(values), np.concatenate(witnesses)
+
+
+def _barycentric(n, eps=1e-12):
+    """0.5 J + eps I: the minimum 0.5 + eps / n is attained only at the
+    barycenter, whose KKT system (and every pair's) has condition number
+    beyond 1e12."""
+    return 0.5 + eps * np.eye(n)
 
 
 def _oracle_inputs(rng, n):
@@ -478,8 +478,7 @@ def _oracle_inputs(rng, n):
     np.fill_diagonal(zero_diagonal, 0.0)
     one_diagonal = zero_one.copy()
     np.fill_diagonal(one_diagonal, 1.0)
-    # condition numbers near CONDITION_LIMIT: the determinant bound cannot
-    # clear these rows, and the SVD keeps some and drops others
+    # ill-conditioned KKT systems, solved and kept like any other
     near_limit = 0.5 + 1e-11 * _symmetric(rng.uniform(-1.0, 1.0, size=(n, n)))
     return np.array(
         [
@@ -491,74 +490,25 @@ def _oracle_inputs(rng, n):
             zero_diagonal,
             one_diagonal,
             near_limit,
+            _barycentric(n),
         ]
     )
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_solve_then_gate_matches_cond_first_oracle(n, monkeypatch):
-    masked = _spy_det_masks(monkeypatch)
+    # the stacked solve against a solve per KKT system: the same candidates,
+    # bit for bit (the test is named for the condition gate its oracle once
+    # applied)
+    masked = _spy_singular_rows(monkeypatch)
     Bs = _oracle_inputs(np.random.default_rng(300 + n), n)
     got = _full_enumeration(Bs)
-    want = _cond_first_candidate_arrays(Bs)
+    want = _per_row_candidate_arrays(Bs)
     assert np.array_equal(np.unique(got[0]), np.arange(len(Bs)))
     for got_array, want_array in zip(got, want, strict=True):
         assert np.array_equal(got_array, want_array)
-    # the duplicated block makes exactly singular systems: the det mask ran
+    # the duplicated block makes exactly singular systems: the mask ran
     assert sum(masked) > 0
-
-
-def _spy_cond_rows(monkeypatch) -> list:
-    """Patch np.linalg.cond to record, per call, (rows it keeps, rows)."""
-    cond = np.linalg.cond
-    calls = []
-
-    def spy(a):
-        conds = cond(a)
-        kept = np.isfinite(conds) & (conds <= localdensity.CONDITION_LIMIT)
-        calls.append((int(kept.sum()), len(conds)))
-        return conds
-
-    monkeypatch.setattr(np.linalg, "cond", spy)
-    return calls
-
-
-def test_condition_bound_dominates_cond():
-    # ||K||_F^m / |det K| >= cond_2(K) on KKT systems of every size up to 15;
-    # where the system is singular to working precision (cond beyond 1e14)
-    # det and cond are both rounding noise and the bound is not checked
-    rng = np.random.default_rng(17)
-    Bs = list(_oracle_inputs(rng, 14)) + [_symmetric(rng.uniform(size=(14, 14))) for _ in range(4)]
-    checked = 0
-    for r in range(1, 15):
-        combos = np.array([np.sort(rng.choice(14, r, replace=False)) for _ in range(30)])
-        for B in Bs:
-            K = _kkt(B[combos[:, :, None], combos[:, None, :]])
-            dets = np.linalg.det(K)
-            bounds = localdensity._condition_bounds(K, dets)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                conds = np.linalg.cond(K)
-            resolved = (dets != 0.0) & (conds < 1e14)
-            assert np.all(bounds[resolved] >= conds[resolved])
-            checked += int(np.sum(resolved & (conds > 1e8)))
-            # the gate's own claim: a row the bound clears, the SVD keeps
-            cleared = np.isfinite(bounds) & (bounds <= localdensity.CONDITION_LIMIT / 100)
-            assert np.all(conds[cleared] <= localdensity.CONDITION_LIMIT)
-    assert checked > 0  # ill-conditioned systems were among them
-
-
-def test_svd_only_for_rows_the_bound_cannot_clear(monkeypatch):
-    calls = _spy_cond_rows(monkeypatch)
-    rng = np.random.default_rng(23)
-    # the search's case: a stack of uniform random matrices at n = 4
-    local_density_subgradients(np.array([_symmetric(rng.uniform(size=(4, 4))) for _ in range(36)]))
-    assert calls == []
-    # every support, not only the cliques the solver visits: on this input
-    # the cliques alone leave the SVD nothing to drop
-    B = 0.5 + 1e-11 * _symmetric(rng.uniform(-1.0, 1.0, size=(8, 8)))
-    _full_enumeration(B[None])
-    kept = sum(kept for kept, _ in calls)
-    assert 0 < kept < sum(rows for _, rows in calls)  # the SVD decided both ways
 
 
 def _random_graphs(rng, n, k=6):
@@ -663,9 +613,9 @@ def _solved(mp, Bs, tie_tol):
 def _assert_located_matches_full(mp, Bs):
     """The candidates the solver keeps, the vertices, pairs and clique
     supports of each convexity graph, give the results of full enumeration
-    bit for bit: P, d* and witness of the stacked subgradients at three tie
-    tolerances, and of local_density_exact.  The tie set is full
-    enumeration's restricted to the supports Fraction decides are cliques."""
+    restricted to the supports Fraction decides are cliques, bit for bit: P,
+    d*, witness and tie set of the stacked subgradients at three tie
+    tolerances, and d* and witness of local_density_exact."""
     for tie_tol in (0.0, 1e-10, 1e-6):
         for j, (got, want) in enumerate(zip(_solved(mp, Bs, tie_tol), _looped_subgradients(Bs, tie_tol))):
             (P, d_star, witness, tie_set), (P_want, d_want, witness_want, tie_set_want) = got, want
@@ -692,7 +642,17 @@ def test_located_matches_full_enumeration(n, monkeypatch):
     _assert_located_matches_full(monkeypatch, Bs)
 
 
-DRAWN_FAMILIES = ("uniform", "constant", "duplicated", "zero_one", "rounded", "near_limit", "zero_diagonal", "walk")
+DRAWN_FAMILIES = (
+    "uniform",
+    "constant",
+    "duplicated",
+    "zero_one",
+    "rounded",
+    "near_limit",
+    "barycentric",
+    "zero_diagonal",
+    "walk",
+)
 
 
 def _drawn_matrix(rng, n, family):
@@ -708,6 +668,8 @@ def _drawn_matrix(rng, n, family):
         return np.round(uniform, 1)
     if family == "near_limit":
         return 0.5 + 1e-11 * _symmetric(rng.uniform(-1.0, 1.0, size=(n, n)))
+    if family == "barycentric":
+        return _barycentric(n)
     if family == "zero_diagonal":
         np.fill_diagonal(uniform, np.where(rng.random(n) < 0.5, 0.0, np.diag(uniform)))
     if family == "walk":
@@ -763,6 +725,96 @@ def test_only_pairs_and_cliques_are_certified(monkeypatch):
     (alone,), beside = pair_candidates
     assert len(beside) == 3 and np.array_equal(beside[0][1][2:], [0.0])
     assert beside[0][0] == alone[0] and np.array_equal(beside[0][1][:2], alone[1])
+
+
+def _exact_kkt_solution(S):
+    """(x, lambda) with 2 S x = lambda 1 and sum x = 1 for the square block S
+    of Fractions, by Gauss-Jordan elimination in exact arithmetic, or None
+    when the KKT system is singular."""
+    r = len(S)
+    A = [[2 * S[i][j] for j in range(r)] + [Fraction(-1), Fraction(0)] for i in range(r)]
+    A.append([Fraction(1)] * r + [Fraction(0), Fraction(1)])
+    for c in range(r + 1):
+        pivot = next((i for i in range(c, r + 1) if A[i][c] != 0), None)
+        if pivot is None:
+            return None
+        A[c], A[pivot] = A[pivot], A[c]
+        for i in range(r + 1):
+            if i != c and A[i][c] != 0:
+                f = A[i][c] / A[c][c]
+                A[i] = [a - f * b for a, b in zip(A[i], A[c])]
+    sol = [A[i][r + 1] / A[i][i] for i in range(r + 1)]
+    return sol[:r], sol[r]
+
+
+def _exact_local_density(B):
+    """The exact minimum of x^T B x over the simplex, B's stored floats read
+    as Fractions: the least value among the vertices and the strictly
+    interior stationary points of every support (a singular support is
+    skipped, its face's minimum being attained on a sub-face too).  At a
+    stationary point x^T B x = lambda / 2.  Test oracle only."""
+    F = [[Fraction(v) for v in row] for row in B.tolist()]
+    best = None
+    for r in range(1, len(F) + 1):
+        for support in itertools.combinations(range(len(F)), r):
+            solved = _exact_kkt_solution([[F[i][j] for j in support] for i in support])
+            if solved is not None and min(solved[0]) > 0 and (best is None or solved[1] / 2 < best):
+                best = solved[1] / 2
+    return best
+
+
+def _exact_normalized_value(B, x):
+    """x^T B x / (sum x)^2 in exact arithmetic: the value of the simplex
+    point x / sum x."""
+    F = [[Fraction(v) for v in row] for row in B.tolist()]
+    X = [Fraction(v) for v in x.tolist()]
+    total = sum(X)
+    return sum(X[i] * F[i][j] * X[j] for i in range(len(X)) for j in range(len(X))) / (total * total)
+
+
+def _exact_oracle_inputs(rng, n):
+    """Fifteen families, friendly and adversarial: uniform, rounded, near
+    constant, 0.5 plus tiny uniform noise at three scales, duplicated blocks
+    with jitter, 0.5 J + eps I at five eps, walk kernels W_5 and W_7, and a
+    rank-two matrix."""
+    uniform = _symmetric(rng.uniform(size=(n, n)))
+    noise = _symmetric(rng.uniform(-1.0, 1.0, size=(n, n)))
+    blocks = rng.integers(0, n, size=n)
+    duplicated = uniform[np.ix_(blocks, blocks)] + _symmetric(rng.choice([-1e-15, 0.0, 1e-15], size=(n, n)))
+    a, b = rng.uniform(size=(2, n))
+    return [
+        uniform,
+        np.round(uniform, 1),
+        0.5 + _symmetric(rng.choice([-1e-13, 0.0, 1e-13], size=(n, n))),
+        *(0.5 + scale * noise for scale in (1e-11, 1e-14, 1e-15)),
+        np.clip(duplicated, 0.0, 1.0),
+        *(_barycentric(n, eps) for eps in (1e-10, 1e-11, 1e-12, 1e-13, 1e-14)),
+        *_walk_kernels(rng, n)[1:],
+        (np.outer(a, a) + np.outer(b, b)) / 2.0,
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_exact_solver_matches_rational_oracle(n):
+    # d* and its witness's value are within 1e-15 of the exact minimum on
+    # every family, ill-conditioned faces included: on 0.5 J + 1e-12 I a
+    # solver that drops ill-conditioned KKT systems returns a vertex, about
+    # 1e-12 too high
+    rng = np.random.default_rng(600 + n)
+    for j, B in enumerate(_exact_oracle_inputs(rng, n)):
+        cert = local_density_exact(StepGraphon(B, np.full(n, 1.0 / n)))
+        exact = _exact_local_density(B)
+        assert abs(Fraction(cert.d_star) - exact) <= 1e-15, (j, float(Fraction(cert.d_star) - exact))
+        assert abs(_exact_normalized_value(B, cert.witness) - exact) <= 1e-15, j
+
+
+def test_exact_solver_below_estimate_at_the_barycenter():
+    # the minimum of 0.5 J + 1e-12 I is at the barycenter, whose KKT system
+    # is ill-conditioned; projected gradient descent, an upper bound, finds
+    # it, and the exact solver must not sit above it
+    for n in (3, 4, 6):
+        W = StepGraphon(_barycentric(n), np.full(n, 1.0 / n))
+        assert local_density_exact(W).d_star <= local_density_estimate(W).d_star + 1e-15, n
 
 
 def test_is_locally_dense():

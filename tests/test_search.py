@@ -246,7 +246,7 @@ def test_armijo_ladder_is_the_halving_sequence_in_blocks():
 
 
 # Four starts with the constant start first: d J has exactly singular KKT
-# systems, so the first stacked solve takes the determinant fallback with
+# systems, so the first stacked solve takes the singular-row fallback with
 # random starts in the same stack.
 LOCKSTEP_CONFIG = SearchConfig(starts=4, inner_iterations=8)
 LOCKSTEP_RUNS = {
@@ -314,11 +314,11 @@ def _assert_gradients_follow_accepted_steps(rounds, distinct):
 def test_lockstep_starts_match_lone_runs(run, monkeypatch):
     # record each start's generator arguments, the lockstep trajectories and
     # objective functions, every stack the search evaluates, solves or
-    # differentiates (in call order), and every determinant fallback; the
+    # differentiates (in call order), and every singular-row fallback; the
     # shared record keeps every tracked point
     path_args, trajectories, fns, stacks, calls, dets = [], [], [], [], [], []
     start_path, lockstep = search._start_path, search._lockstep
-    solve, det = search.local_density_subgradients, np.linalg.det
+    solve, slogdet = search.local_density_subgradients, np.linalg.slogdet
 
     def recording_path(*args):
         path_args.append(args)
@@ -343,15 +343,15 @@ def test_lockstep_starts_match_lone_runs(run, monkeypatch):
         calls.append(("solve", stacks[-1]))
         return solve(Bs)
 
-    def recording_det(a):
+    def recording_slogdet(a):
         dets.append(len(a))
-        return det(a)
+        return slogdet(a)
 
     monkeypatch.setattr(search, "_Bests", _RecordingBests)
     monkeypatch.setattr(search, "_start_path", recording_path)
     monkeypatch.setattr(search, "_lockstep", recording_lockstep)
     monkeypatch.setattr(search, "local_density_subgradients", recording_solve)
-    monkeypatch.setattr(np.linalg, "det", recording_det)
+    monkeypatch.setattr(np.linalg, "slogdet", recording_slogdet)
     run(LOCKSTEP_CONFIG)
     monkeypatch.undo()
 
