@@ -3,8 +3,10 @@
 Two engines compute t(H, W) = sum over block maps of the product of edge
 values times the product of block measures:
 
-* hom_density_naive enumerates all n^v(H) maps with compensated summation.
-  It is the oracle and stays a direct transcription of the definition.
+* hom_density_naive forms the product of every one of the n^v(H) maps,
+  broadcast over a tensor with one axis per pattern vertex, and adds them
+  all in one correctly rounded math.fsum.  It is the oracle and stays a
+  direct transcription of the definition.
 * hom_density eliminates one pattern vertex at a time (bucket elimination;
   greedy minimum degree, ties to the lowest vertex id), which turns
   subdivision-heavy patterns from exponential into low-order polynomial work.
@@ -21,8 +23,9 @@ A gradient runs the same plan forward, keeping every step's factors, then
 sends the adjoint back through the steps once (reverse mode; Baur &
 Strassen, Theor. Comput. Sci. 22, 1983): a factor's adjoint contracts the
 adjoint of its step's sum, times the weight, with the step's other factors
-(np.einsum, subscripts stored in the plan).  Edge factors add into one
-gradient matrix; a step output passes its adjoint to the step that made it.
+(np.einsum, subscripts laid out in the plan on its first gradient).  Edge
+factors add into one gradient matrix; a step output passes its adjoint to
+the step that made it.
 
 The engine (_run) runs a program over a stack of value matrices at once,
 behind a leading stack axis.  hom_densities and grad_hom_densities take
@@ -44,7 +47,8 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
+from itertools import chain, product
 from operator import mul
 from typing import NamedTuple
 
@@ -98,15 +102,11 @@ class EliminationPlan:
     edge_list order; step outputs fill the later slots, every factor with
     its axes in increasing vertex order.
 
-    adjoints hold each step's reverse pass, one (members, subscripts,
-    weight_shape) per distinct scope of its factors; members are their
-    positions in the step's slots.  A member's adjoint is the product of its
-    scope mates times one einsum, of the adjoint of the step's sum and each
-    other scope's product, times the weight broadcast by weight_shape.  With
-    one scope (weight_shape None) the weight is the einsum's second operand
-    instead, supplying the eliminated axis.  One operand per scope keeps
-    einsum off its slow loop for four or more operands.  gradient_cost adds
-    the einsums' n^arity cells to cost.
+    scopes hold, per step, the eliminated vertex, its neighbors and the
+    scopes of the factors touching it in slot order: what the reverse pass
+    (adjoints) is laid out from, on the plan's first gradient.
+    gradient_cost adds n^arity cells to cost per distinct scope of each
+    step, the cells of that step's adjoint einsums.
     """
 
     order: tuple
@@ -114,8 +114,21 @@ class EliminationPlan:
     cost: float
     edge_count: int
     steps: tuple
-    adjoints: tuple
+    n: int
+    scopes: tuple
     gradient_cost: float
+
+    @cached_property
+    def adjoints(self) -> tuple:
+        """Each step's reverse pass, one (members, subscripts, weight_shape)
+        per distinct scope of its factors; members are their positions in
+        the step's slots.  A member's adjoint is the product of its scope
+        mates times one einsum, of the adjoint of the step's sum and each
+        other scope's product, times the weight broadcast by weight_shape.
+        With one scope (weight_shape None) the weight is the einsum's second
+        operand instead, supplying the eliminated axis.  One operand per
+        scope keeps einsum off its slow loop for four or more operands."""
+        return tuple(_adjoints(touching, v, rest, self.n) for v, rest, touching in self.scopes)
 
 
 @lru_cache(maxsize=PROGRAM_CACHE_SIZE)
@@ -136,16 +149,16 @@ def _layouts(factors, order: tuple, n: int) -> tuple:
     )
 
 
-def _adjoints(touching, v: int, rest: tuple, n: int) -> tuple:
-    """The adjoints entry of the step eliminating v: its factors' distinct
-    scopes in first-seen order."""
+def _adjoints(touching: tuple, v: int, rest: tuple, n: int) -> tuple:
+    """The adjoints entry of the step eliminating v, whose factors have the
+    scopes touching: one per distinct scope, in first-seen order."""
     label = dict(zip((v,) + rest, _LABELS[1:] + "?" * len(rest)))
-    scopes = list(dict.fromkeys(vars_ for vars_, _ in touching))
+    scopes = list(dict.fromkeys(touching))
     subscripts = [_LABELS[0] + "".join(label[w] for w in scope) for scope in scopes]
     head = _LABELS[0] + "".join(label[w] for w in rest)
     adjoints = []
     for j, scope in enumerate(scopes):
-        members = tuple(i for i, (vars_, _) in enumerate(touching) if vars_ == scope)
+        members = tuple(i for i, vars_ in enumerate(touching) if vars_ == scope)
         if len(scopes) == 1:
             operands, weight_shape = [head, label[v]], None
         else:
@@ -173,7 +186,7 @@ def plan_elimination(H: Graph, n: int, pinned: tuple = ()) -> EliminationPlan:
     remaining = set(adj) - set(pinned)
     factors = [(edge, slot) for slot, edge in enumerate(H.edge_list)]
     next_slot = len(factors)
-    order, arities, steps, adjoints = [], [], [], []
+    order, arities, steps, scopes = [], [], [], []
     cost = reverse_cost = 0.0
     while remaining:
         v = min(remaining, key=lambda u: (len(adj[u]), u))
@@ -188,8 +201,8 @@ def plan_elimination(H: Graph, n: int, pinned: tuple = ()) -> EliminationPlan:
         remaining.discard(v)
         touching = [f for f in factors if v in f[0]]
         factors = [f for f in factors if v not in f[0]]
-        adjoints.append(_adjoints(touching, v, rest, n))
-        reverse_cost += len(adjoints[-1]) * float(n) ** (len(rest) + 1)
+        scopes.append((v, rest, tuple(vars_ for vars_, _ in touching)))
+        reverse_cost += len(set(scopes[-1][2])) * float(n) ** (len(rest) + 1)
         if not touching:
             steps.append(_Step((), (), False, None, ()))
             continue
@@ -204,7 +217,7 @@ def plan_elimination(H: Graph, n: int, pinned: tuple = ()) -> EliminationPlan:
     # a factor left off the pinned vertices would be a planning bug
     assert all(set(vars_) <= set(pinned) for vars_, _ in factors)
     return EliminationPlan(
-        tuple(order), tuple(arities), cost, H.edge_count, tuple(steps), tuple(adjoints),
+        tuple(order), tuple(arities), cost, H.edge_count, tuple(steps), n, tuple(scopes),
         cost + reverse_cost,
     )
 
@@ -285,30 +298,42 @@ def hom_densities(H: Graph, Bs: np.ndarray, measures: np.ndarray) -> np.ndarray:
 def hom_density_naive(H: Graph, W: StepGraphon) -> float:
     """t(H, W) by full enumeration of all n^v(H) block maps.
 
-    Per-map products are formed in float64; the final accumulation is exact
-    compensated summation over all maps.
+    The maps' terms fill a tensor whose axis p holds the block of vertex p:
+    each edge (u, v) contributes the value matrix broadcast onto axes u and
+    v, each vertex p the measures broadcast onto axis p, multiplied in that
+    order (edges in edge_list order, then vertices 0..v(H)-1), so every
+    map's product is formed explicitly in float64.  The tensor is built in
+    blocks that fix the leading vertices, each at most 2^18 terms on at
+    most 18 axes (numpy allows 64, which n = 1 could otherwise exceed), and
+    all terms go into one math.fsum: the correctly rounded sum over all
+    maps (Shewchuk, Discrete Comput. Geom. 18, 1997).
     """
     n = W.n
     vH = H.vertex_count
-    total = n**vH
-    charge(total, DEFAULT_ENUMERATION_BUDGET, "enumeration", "maps")
+    charge(n**vH, DEFAULT_ENUMERATION_BUDGET, "enumeration", "maps")
     if vH == 0:
         return 1.0
-    B = W.values
-    mu = W.measures
-    edges = H.edge_list
-    chunk = 1 << 18
-    partials = []
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = [(idx // n**p) % n for p in range(vH)]
-        acc = np.ones(len(idx))
-        for u, v in edges:
-            acc *= B[digits[u], digits[v]]
-        for p in range(vH):
-            acc *= mu[digits[p]]
-        partials.append(math.fsum(acc.tolist()))
-    return math.fsum(partials)
+    bits = 18
+    width = min(vH, bits)
+    while n**width > 1 << bits:
+        width -= 1
+    lead = vH - width
+    factors = [(edge, W.values) for edge in H.edge_list] + [((p,), W.measures) for p in range(vH)]
+
+    def block(fixed: tuple) -> list:
+        term = 1.0
+        for scope, F in factors:
+            # the fixed vertices index F; the others, in increasing order as
+            # in every edge_list pair, keep their axes, which go to the block's
+            F = F[tuple(fixed[w] if w < lead else slice(None) for w in scope)]
+            shape = [1] * width
+            for w in scope:
+                if w >= lead:
+                    shape[w - lead] = n
+            term = term * F.reshape(shape)
+        return term.ravel().tolist()
+
+    return math.fsum(chain.from_iterable(map(block, product(range(n), repeat=lead))))
 
 
 def hom_density_subdivided(H: Graph, s: int, W: StepGraphon) -> float:
@@ -350,12 +375,15 @@ def grad_hom_densities(H: Graph, Bs: np.ndarray, measures: np.ndarray) -> np.nda
     if k == 0:
         return A
     _, (slots, parts) = _run(plan, Bs, measures, keep=True)
-    # a scalar's adjoint is the product of the others, by prefix and suffix
-    prefix, suffix = [np.ones(k)], [np.ones(k)]
-    for part, back in zip(parts, reversed(parts)):
-        prefix.append(prefix[-1] * part)
-        suffix.append(suffix[-1] * back)
-    seeds = [prefix[i] * suffix[len(parts) - 1 - i] for i in range(len(parts))]
+    # a scalar's adjoint is the product of the others, by prefix and suffix;
+    # a lone scalar's is 1
+    seeds = [np.ones(k)]
+    if len(parts) > 1:
+        prefix, suffix = [np.ones(k)], [np.ones(k)]
+        for part, back in zip(parts, reversed(parts)):
+            prefix.append(prefix[-1] * part)
+            suffix.append(suffix[-1] * back)
+        seeds = [prefix[i] * suffix[len(parts) - 1 - i] for i in range(len(parts))]
     pending = {}
     for step, adjoints in zip(reversed(plan.steps), reversed(plan.adjoints)):
         bar = seeds.pop() if step.out is None else pending.pop(step.out)
@@ -375,8 +403,7 @@ def grad_hom_densities(H: Graph, Bs: np.ndarray, measures: np.ndarray) -> np.nda
                 else:
                     pending[step.slots[i]] = adjoint
     G = A + A.transpose(0, 2, 1)
-    diagonal = np.arange(n)
-    G[:, diagonal, diagonal] = A[:, diagonal, diagonal]
+    _diagonal(G)[...] = _diagonal(A)
     return G
 
 
@@ -388,6 +415,11 @@ def per_entry_gradient(G: np.ndarray) -> np.ndarray:
     symmetric directions D.
     """
     E = G / 2.0
-    diagonal = np.arange(G.shape[-1])
-    E[..., diagonal, diagonal] = G[..., diagonal, diagonal]
+    _diagonal(E)[...] = _diagonal(G)
     return E
+
+
+def _diagonal(M: np.ndarray) -> np.ndarray:
+    """The diagonal of a matrix, or of each matrix of a stack, as a strided
+    view that writes through to M."""
+    return np.einsum("...ii->...i", M)

@@ -289,17 +289,18 @@ def local_density_subgradient(W: StepGraphon, tie_tol: float = 1e-10):
 
 def _averaged_outer(xs: np.ndarray) -> np.ndarray:
     """Mean of x x^T over the distinct rows x of xs (rows equal after
-    rounding to 10 digits count once), summed in row order."""
-    witnesses = []
-    seen = set()
-    for x in xs:
-        key = tuple(np.round(x, 10))
-        if key not in seen:
-            seen.add(key)
-            witnesses.append(x)
-    P = np.zeros((xs.shape[1], xs.shape[1]))
-    for x in witnesses:
-        P += np.outer(x, x)
+    rounding to 10 digits count once, by their first), summed in row order.
+
+    A stable lexicographic sort puts equal keys next to each other, the
+    first of them in front; np.sum along the leading axis adds the outer
+    products one after another from 0.0, as a loop would."""
+    keys = np.round(xs, 10) + 0.0  # -0.0 and 0.0 are one key
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    first = np.ones(len(xs), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    witnesses = xs[np.sort(order[first])]
+    P = np.sum(witnesses[:, :, None] * witnesses[:, None, :], axis=0)
     P /= len(witnesses)
     return P
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +34,7 @@ from graphonlab import (
     subdivide,
 )
 from graphonlab import density, localdensity
+from graphonlab.cli import cli, parse_graphon, parse_pattern
 from graphonlab.density import (
     PROGRAM_CACHE_SIZE, grad_hom_densities, hom_densities, plan_elimination
 )
@@ -130,6 +132,97 @@ def test_naive_budget(monkeypatch):
     monkeypatch.setenv("GRAPHONLAB_BUDGET", repr(100))
     with pytest.raises(BudgetExceededError):
         hom_density_naive(clique(4), w)
+
+
+# --- enumeration against the digit-and-gather enumerator it replaced ---------------
+
+
+def _enumerated_terms(H, W):
+    """Every map's term as the enumerator formed it before it broadcast:
+    map i sends vertex p to digit p of i in base n, and its product gathers
+    the edge values in edge_list order, then the measures of vertices
+    0..v(H)-1, in chunks of 2^18 maps.  Summed by one math.fsum this is that
+    enumerator's result wherever it had one chunk.  Test oracle only."""
+    n, vH = W.n, H.vertex_count
+    total = n**vH
+    for start in range(0, total, 1 << 18):
+        idx = np.arange(start, min(start + (1 << 18), total), dtype=np.int64)
+        digits = [(idx // n**p) % n for p in range(vH)]
+        acc = np.ones(len(idx))
+        for u, v in H.edge_list:
+            acc *= W.values[digits[u], digits[v]]
+        for p in range(vH):
+            acc *= W.measures[digits[p]]
+        yield from acc.tolist()
+
+
+# the patterns of the benchmark's exact workload
+WHEEL6 = Graph(7, [(i, (i + 1) % 6) for i in range(6)] + [(6, i) for i in range(6)])
+C7_CHORDS = Graph(7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 3), (1, 5), (2, 6)])
+K4_SUBDIVIDED = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (4, 3), (2, 5), (5, 3), (3, 6), (6, 0)])
+C6_CHORDS = Graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (1, 4)])
+
+NAIVE_PATTERNS = {
+    "no vertices": Graph(0, []),
+    "one vertex": Graph(1, []),
+    "no edges": Graph(4, []),
+    "isolated vertices": Graph(5, [(1, 3), (4, 3)]),
+    "C6 with chords": C6_CHORDS,
+    "K4 subdivided": K4_SUBDIVIDED,
+    "wheel": WHEEL6,
+    "C7 with chords": C7_CHORDS,
+}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_naive_matches_gathered_enumeration_bitwise(n):
+    # every map's product has the old bits, so one correctly rounded sum of
+    # them is the old result up to 2^18 maps (all but the 7-vertex patterns
+    # at n = 6, where the old result rounded twice)
+    rng = np.random.default_rng([77, n])
+    for wname, W in _oracle_graphons(n, rng).items():
+        for hname, H in NAIVE_PATTERNS.items():
+            H = _relabelled(H, rng)
+            assert hom_density_naive(H, W) == math.fsum(_enumerated_terms(H, W)), (wname, hname)
+
+
+def test_naive_on_one_block_with_more_vertices_than_numpy_axes():
+    H = path_graph(99)
+    W = StepGraphon(np.array([[0.7]]), np.array([1.0]))
+    assert hom_density_naive(H, W) == math.fsum(_enumerated_terms(H, W))
+
+
+def test_naive_rounds_the_sum_of_all_maps_once():
+    # above 2^18 maps a sum of per-chunk sums rounds twice: on the
+    # 1-subdivided K4 at n = 6 (279 936 maps, two chunks), drawn as the
+    # benchmark draws it, it was an ulp off on draws 0, 6, 14 and 19
+    rng = np.random.default_rng(0)
+    twice_off = 0
+    for draw in range(20):
+        perm = rng.permutation(7)
+        H = Graph(7, [(int(perm[u]), int(perm[v])) for u, v in K4_SUBDIVIDED.edges])
+        values = np.triu(rng.uniform(0.0, 1.0, size=(6, 6)))
+        W = StepGraphon(values + np.triu(values, 1).T, rng.dirichlet(np.ones(6)))
+        terms = list(_enumerated_terms(H, W))
+        once = math.fsum(terms)
+        assert hom_density_naive(H, W) == once, draw
+        twice_off += once != math.fsum([math.fsum(terms[: 1 << 18]), math.fsum(terms[1 << 18:])])
+    assert twice_off == 4
+
+
+def test_density_route_naive_prints_the_enumerated_sum():
+    runner = CliRunner()
+    for pattern, graphon, subdivision in (
+        ("clique:3", "random:4:1", "0"),
+        ("clique:3", "random:4:1", "1"),
+        ("catalog:z6_chords", "random:3:5", "0"),
+        ("cycle:5", "const:0.3:4", "0"),
+    ):
+        res = runner.invoke(cli, ["density", "--pattern", pattern, "--graphon", graphon,
+                                  "--route", "naive", "--subdivision", subdivision])
+        assert res.exit_code == 0, res.output
+        H = subdivide(parse_pattern(pattern), int(subdivision))
+        assert res.output == repr(math.fsum(_enumerated_terms(H, parse_graphon(graphon)))) + "\n"
 
 
 def test_fast_budget(monkeypatch):
