@@ -17,29 +17,34 @@ compared by value.  The tolerance itself decides the feasible/infeasible
 flag, not which value wins.
 
 Each gradient step backtracks along eta = 1, 1/2, 1/4, ... (Armijo).  The
-trial points are evaluated in blocks: eta = 1 and the next LADDER_BLOCK steps
-first, then LADDER_BLOCK steps at a time.  The block is walked in order and
-the first step the sequential sufficient-decrease rule accepts is taken, so
-the accepted eta, and with it the whole search path, is exactly that of
-trying one step at a time; evaluations past the accepted step are the price
-of batching.  Trial points are bare value matrices (symmetric and clipped by
-construction), never StepGraphons; the reported best graphon is rebuilt and
-re-verified in full.
+objective values of the whole ladder are evaluated as one stack, and the
+ladder is walked in order: the first step the sequential sufficient-decrease
+rule accepts is taken, so the accepted eta, and with it the whole search
+path, is exactly that of trying one step at a time.  Only the local density
+costs a solve, and a trial is solved only if it can pass: d* is a minimum of
+functions linear in the values (Bomze, "On standard quadratic optimization
+problems", J. Global Optim. 13, 1998), so <P, B'> bounds d*(B') from above
+for the current point's averaged witness outer product P, and the penalized
+objective does not increase with d*.  A trial that fails the test with that
+bound (plus SCREEN_MARGIN, see _witness_bounds) in place of d* fails it with
+the exact d* too, and is skipped unsolved.  A value past the accepted step
+is the price of evaluating the ladder at once.  Trial points are bare value
+matrices (symmetric and clipped by construction), never StepGraphons; the
+reported best graphon is rebuilt and re-verified in full.
 
 The starts are independent, so they run in lockstep.  Each start is a
-generator (_start_path) that yields the stack of points it needs evaluated
-next (its start point or a ladder block), or its current point alone when it
-needs the objective's gradient there.  Each round, _lockstep concatenates the
-pending stacks of all live starts and makes one call per layer over them: the
-objective values, then the local densities (one local_density_subgradients
-call).  It sends every start its own slices, and the starts that then ask
-for a gradient (those that accepted a step or stand at their start point) get
-it from one stacked gradient call in the same round.  A start leaves the
-round when its own rules end it.  The objective, its gradient and the solver
-treat each matrix on its own, so every start's path is bit for bit the one
-it takes alone.  All starts track their points in one _Bests record, which
-ranks them by (value, start), so a tie goes to the earlier start as in a
-one-by-one run.
+generator (_start_path) that yields three kinds of ask: ("value", stack) for
+the objective values of its start point or its ladder, ("solve", B) for the
+local density of one trial that can pass, and ("grad", B) for the
+objective's gradient at a point it stands on.  Each round, _lockstep answers
+one kind of ask for every start that has it pending, with one stacked call:
+gradients first, then values, then solves.  A start therefore has its values
+charged before it asks for its first solve, as alone.  A start leaves when
+its own rules end it.  The objective, its gradient and the solver treat each
+matrix on its own, so every start's path is bit for bit the one it takes
+alone.  All starts track their points in one _Bests record, which ranks them
+by (value, start), so a tie goes to the earlier start as in a one-by-one
+run.
 """
 
 from __future__ import annotations
@@ -60,12 +65,7 @@ from .operators import path_powers
 from .stepgraphon import StepGraphon, _random_symmetric, _uniform_measures, graphon_to_json
 
 LAMBDA_SCHEDULE = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
-# Backtracking steps evaluated per block; the first block also holds eta = 1,
-# which is often accepted.  On the benchmark's n = 4 search workload, blocks
-# of 8 beat blocks of 4 or 16 and the whole 47-step ladder at once (12 ties
-# with 8): a bigger block wastes more evaluations past the accepted step, a
-# smaller one pays the per-call overhead more often.
-LADDER_BLOCK = 8
+SCREEN_MARGIN = 1e-12  # added to the witness bound on d*, see _witness_bounds
 FEASIBILITY_TOL = 1e-6  # residuals up to this count as feasible
 STATIONARITY_TOL = 1e-10  # projected-step norm that ends a penalty level
 PROGRESS_TOL = 1e-11  # decrease below which an accepted step counts as stalled
@@ -116,16 +116,15 @@ class SearchResult:
         return doc
 
 
-def _armijo_ladder() -> list:
+def _armijo_ladder() -> np.ndarray:
     """The backtracking steps eta = 1, ARMIJO_FACTOR, ARMIJO_FACTOR^2, ...
-    (while above 1e-14) as the arrays they are evaluated in: eta = 1 and the
-    next LADDER_BLOCK steps, then LADDER_BLOCK steps at a time."""
+    while above 1e-14."""
     etas = []
     eta = 1.0
     while eta > 1e-14:
         etas.append(eta)
         eta *= ARMIJO_FACTOR
-    return np.split(np.array(etas), range(LADDER_BLOCK + 1, len(etas), LADDER_BLOCK))
+    return np.array(etas)
 
 
 ARMIJO_LADDER = _armijo_ladder()
@@ -165,19 +164,74 @@ class _Bests:
             self.least = (residual, start, B.copy(), value)
 
 
+def _decreases(f: float, penalized: float, bar: float) -> bool:
+    """The sufficient-decrease test of a trial whose penalized value is f,
+    bar being penalized - (ARMIJO_SIGMA / eta) * ||step||^2.  A strict
+    decrease is required: once the sufficient-decrease term rounds to zero, a
+    plain <= would accept ties forever."""
+    return f < penalized and f <= bar
+
+
+def _witness_bounds(P: np.ndarray, trials: np.ndarray) -> np.ndarray:
+    """U_j = <P, trials[j]> + SCREEN_MARGIN for each trial of the stack, P
+    being the witness outer products averaged at the current point: an upper
+    bound on the solver's d* of every trial.
+
+    - For x >= 0 summing to s, x^T B' x >= s^2 d*(B'), d* being the minimum
+      over the simplex.  P averages x x^T over m witnesses, each summing to 1
+      within delta, so the exact <P, B'> is at least d*(B') - 2 delta.
+    - Forming P and the einsum multiply and add non-negative numbers only,
+      where a rounding lowers a partial result by a factor 1 - u at most (u =
+      2^-53).  The computed <P, B'> is thus at least (1 - (m + n^2 + 2) u)
+      times the exact one, which is at most (1 + delta)^2.
+    - The solver's d* exceeds the exact minimum by at most 3.5e-16, measured
+      against rational arithmetic on adversarial inputs, ill-conditioned
+      faces included (test_exact_solver_matches_rational_oracle).
+    So U_j bounds the solver's d* whenever 2 delta + (m + n^2 + 3) u +
+    3.5e-16 <= SCREEN_MARGIN.  On those inputs delta is at most 4.4e-16 (n <=
+    13), and the condition holds while m + n^2 <= 8 900: at every n <= 13,
+    whatever the tie set (m < 2^n), and beyond that unless the tie set has
+    thousands of witnesses."""
+    return np.einsum("ij,kij->k", P, trials) + SCREEN_MARGIN
+
+
+def _screen(B, trials, values, P, d: float, lam: float, penalized: float):
+    """The trials of the Armijo ladder from B that can pass the
+    sufficient-decrease test, in ladder order, as (j, bar): trial j, whose
+    objective value is values[j], and its test's bar.
+
+    Trial j is dropped when it fails the test with its witness bound U_j in
+    place of its d*.  As U_j >= d* (_witness_bounds), max(0, d - U_j) <=
+    max(0, d - d*), and rounding to nearest being monotone, the penalized
+    value with U_j is at most the one with d*: the trial fails with d* too.
+    Were the bound ever below d* (a tie set of thousands of witnesses, see
+    _witness_bounds), a trial the exact test accepts could be skipped, and
+    the search would take a shorter step or end the level; every step it
+    takes is still solved and tested exactly."""
+    bounds = _witness_bounds(P, trials).tolist()
+    for j, (eta, Bn, vn, un) in enumerate(zip(ARMIJO_LADDER, trials, values, bounds)):
+        step = Bn - B
+        bar = penalized - (ARMIJO_SIGMA / eta) * float(np.sum(step * step))
+        if _decreases(vn + lam * max(0.0, d - un) ** 2, penalized, bar):
+            yield j, bar
+
+
 def _start_path(start: int, B0: np.ndarray, d: float, cfg: SearchConfig, bests):
-    """One start of the penalty search as a generator.  It yields each stack
-    of value matrices it needs evaluated (its start point, then each block
-    of the Armijo ladder) and is sent back their objective values and
-    local_density_subgradients pairs; it yields its current point alone when
-    it needs the objective's per-entry gradient there, and is sent back that
-    gradient.  It tracks every point it visits in bests, and returns its
-    trajectory."""
+    """One start of the penalty search as a generator of asks, each sent back
+    its answer: ("value", stack) the objective values of a stack of value
+    matrices (its start point, or its Armijo ladder), as a list; ("solve",
+    B) the local_density_subgradients pair (P, certificate) of one matrix
+    (its start point, or a trial _screen lets through); ("grad", B) the
+    objective's per-entry gradient at its current point.  It solves the
+    ladder's trials one at a time, in order, until one passes the exact
+    sufficient-decrease test.  It tracks every point it visits in bests, and
+    returns its trajectory."""
     B = np.clip((B0 + B0.T) / 2.0, 0.0, 1.0)
     trajectory = []
     global_iter = 0
 
-    (value,), ((P, cert),) = yield B[None]
+    (value,) = yield "value", B[None]
+    P, cert = yield "solve", B
     residual = max(0.0, d - cert.d_star)
     G = None  # the objective's gradient at B, asked for when first needed
     for lam in cfg.lambda_schedule:
@@ -188,27 +242,19 @@ def _start_path(start: int, B0: np.ndarray, d: float, cfg: SearchConfig, bests):
             if global_iter % LOG_EVERY == 0:
                 trajectory.append((global_iter, penalized, residual))
             if G is None:
-                G = yield B
+                G = yield "grad", B
             E = G - 2.0 * lam * residual * P if residual > 0.0 else G
             mapped = np.clip(B - E, 0.0, 1.0)
             if float(np.linalg.norm(B - mapped)) <= STATIONARITY_TOL:
                 break
+            trials = np.clip(B - ARMIJO_LADDER[:, None, None] * E, 0.0, 1.0)
+            values = yield "value", trials
             accepted = None
-            for etas in ARMIJO_LADDER:
-                trials = np.clip(B - etas[:, None, None] * E, 0.0, 1.0)
-                values, solved = yield trials
-                for eta, Bn, vn, (Pn, cert) in zip(etas, trials, values, solved):
-                    rn = max(0.0, d - cert.d_star)
-                    fn = vn + lam * rn**2
-                    step = Bn - B
-                    # strict decrease required: once the sufficient-decrease
-                    # term rounds to zero, a plain <= would accept ties forever
-                    if fn < penalized and fn <= penalized - (
-                        ARMIJO_SIGMA / eta
-                    ) * float(np.sum(step * step)):
-                        accepted = (Bn, vn, Pn, rn)
-                        break
-                if accepted is not None:
+            for j, bar in _screen(B, trials, values, P, d, lam, penalized):
+                Pn, cert = yield "solve", trials[j]
+                rn = max(0.0, d - cert.d_star)
+                if _decreases(values[j] + lam * rn**2, penalized, bar):
+                    accepted = (trials[j], values[j], Pn, rn)
                     break
             if accepted is None:
                 break
@@ -235,36 +281,36 @@ def _lockstep(paths: list, value_fn, grad_fn) -> list:
     """Run the _start_path generators together; their trajectories, in order.
 
     value_fn maps a stack of value matrices to their objective values and
-    grad_fn to their per-entry gradients.  Each round concatenates the
-    pending stacks of every live start, evaluates them with one value_fn
-    call and then one local_density_subgradients call, and sends each start
-    its own slices.  The starts that then ask for a gradient get it from one
-    grad_fn call over their points before the next round.  A start leaves
-    when its own rules end it.  Every call treats each matrix on its own, so
-    every start takes, bit for bit, the path it takes alone."""
+    grad_fn to their per-entry gradients.  Each round takes one kind of ask,
+    the first of "grad", "value" and "solve" that some live start has
+    pending, and answers it for all those starts with one call over their
+    matrices, in start order: grad_fn, value_fn, or
+    local_density_subgradients.  Each start gets its own slice back.  Values
+    go before solves, so a start's values are charged before its solver, as
+    when it runs alone.  A start leaves when its own rules end it.  Every
+    call treats each matrix on its own, so every start takes, bit for bit,
+    the path it takes alone."""
     trajectories = [None] * len(paths)
     asks = {i: next(path) for i, path in enumerate(paths)}  # in start order
+    calls = {
+        "grad": lambda Bs: grad_fn(np.stack(Bs)),
+        "value": lambda Bs: value_fn(np.concatenate(Bs)).tolist(),
+        "solve": lambda Bs: local_density_subgradients(np.stack(Bs)),
+    }
 
-    def answer(starts: list, replies) -> None:
+    while asks:
+        kind = next(k for k in calls if any(ask[0] == k for ask in asks.values()))
+        starts = [i for i, ask in asks.items() if ask[0] == kind]
+        replies = calls[kind]([asks[i][1] for i in starts])
+        if kind == "value":
+            bounds = [0, *accumulate(len(asks[i][1]) for i in starts)]
+            replies = [replies[a:b] for a, b in zip(bounds, bounds[1:])]
         for i, reply in zip(starts, replies):
             try:
                 asks[i] = paths[i].send(reply)
             except StopIteration as stop:
                 trajectories[i] = stop.value
                 del asks[i]
-
-    while asks:
-        points = [i for i, ask in asks.items() if ask.ndim == 2]
-        if points:
-            answer(points, grad_fn(np.stack([asks[i] for i in points])))
-            continue
-        starts = list(asks)
-        Bs = np.concatenate([asks[i] for i in starts])
-        # charged before the solver, as a lone start evaluates before it solves
-        values = value_fn(Bs).tolist()
-        solved = local_density_subgradients(Bs)
-        bounds = [0, *accumulate(len(asks[i]) for i in starts)]
-        answer(starts, [(values[a:b], solved[a:b]) for a, b in zip(bounds, bounds[1:])])
     return trajectories
 
 

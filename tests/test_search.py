@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +13,16 @@ from graphonlab import (
     cycle_graph,
     hom_density,
     local_density_exact,
+    local_density_subgradients,
     minimize_hom_density,
     probe_even_subdivision,
     result_to_json_text,
     subdivide,
 )
 from graphonlab import search
+from graphonlab.localdensity import ARMIJO_SIGMA
 from graphonlab.search import _restore_feasibility
+from test_localdensity import _exact_local_density, _symmetric
 
 # deliberately small: the unit tests here exercise plumbing, not convergence
 QUICK = SearchConfig(starts=1, lambda_schedule=(1e1, 1e2), inner_iterations=25)
@@ -235,14 +239,11 @@ def test_search_paths_with_unsettled_measures_are_pinned(n):
     assert result_to_json_text(result) == expected
 
 
-def test_armijo_ladder_is_the_halving_sequence_in_blocks():
-    etas = np.concatenate(search.ARMIJO_LADDER)
-    assert len(etas) == 47 and etas[-1] > 1e-14 >= etas[-1] / 2
+def test_armijo_ladder_is_the_halving_sequence():
+    # one stack: a trial past the accepted step costs a value, not a solve
+    etas = search.ARMIJO_LADDER
+    assert etas.shape == (47,) and etas[-1] > 1e-14 >= etas[-1] / 2
     assert etas.tolist() == [0.5**i for i in range(47)]
-    first, *rest = search.ARMIJO_LADDER
-    assert first[0] == 1.0 and len(first) == search.LADDER_BLOCK + 1
-    assert all(len(block) == search.LADDER_BLOCK for block in rest[:-1])
-    assert 0 < len(rest[-1]) <= search.LADDER_BLOCK
 
 
 # Four starts with the constant start first: d J has exactly singular KKT
@@ -288,41 +289,74 @@ def _distinct_points(points, start):
     return out
 
 
-def _assert_gradients_follow_accepted_steps(rounds, distinct):
-    """rounds holds (solver stack, gradient stack or None) per round.  Each
-    gradient stack holds, in start order, the point every start accepted in
-    that round (its start point in the first round); only a start whose run
-    ended at that point may go without."""
-    for solved, gradients in rounds:
-        rows = {row.tobytes() for row in solved}
-        wanted = [
-            (start, j)
-            for start, points in enumerate(distinct)
-            for j, point in enumerate(points)
-            if point.tobytes() in rows
-        ]
-        got = [] if gradients is None else list(gradients)
-        for start, j in wanted:
-            if got and np.array_equal(got[0], distinct[start][j]):
-                got.pop(0)
+ASK_ORDER = {"grad": 0, "value": 1, "solve": 2}
+
+
+def _assert_rounds_answer_one_kind(calls, asks):
+    """calls holds (kind, stack) per stacked call, asks (start, kind, matrix
+    or stack, call made after, call answered by) per ask.  Each call answers
+    one ask of its kind per start, in start order, over their matrices; it
+    answers every pending ask of its kind and leaves none of an earlier
+    kind.  So a solve stack holds at most one matrix per start."""
+    for c, (kind, stack) in enumerate(calls):
+        pending = [ask for ask in asks if ask[3] < c <= ask[4]]
+        answered = [ask for ask in pending if ask[4] == c]
+        assert all(ask[1] == kind for ask in answered)
+        assert all(ASK_ORDER[ask[1]] > ASK_ORDER[kind] for ask in pending if ask[4] != c)
+        starts = [ask[0] for ask in answered]
+        assert starts == sorted(set(starts))
+        join = np.concatenate if kind == "value" else np.stack
+        assert np.array_equal(stack, join([ask[2] for ask in answered]))
+
+
+def _assert_solves_follow_values(asks, distinct):
+    """Each start asks for its start point's value and then its solve; it
+    solves only matrices of its last value stack, and asks for a gradient
+    only at the matrix it solved last: its start point or a step it
+    accepted, each point it visits once (but perhaps the last)."""
+    for start, points in enumerate(distinct):
+        (first, second, *rest) = [ask[1:3] for ask in asks if ask[0] == start]
+        assert first[0] == "value" and np.array_equal(first[1], points[0][None])
+        assert second[0] == "solve" and np.array_equal(second[1], points[0])
+        values, solved, gradients = first[1], second[1], []
+        for kind, X in rest:
+            if kind == "value":
+                values = X
+            elif kind == "solve":
+                assert any(np.array_equal(X, row) for row in values)
+                solved = X
             else:
-                assert j == len(distinct[start]) - 1, (start, j)
-        assert not got
+                assert np.array_equal(X, solved)
+                gradients.append(X)
+        assert len(gradients) in (len(points) - 1, len(points))
+        assert all(np.array_equal(a, b) for a, b in zip(gradients, points))
 
 
 @pytest.mark.parametrize("run", LOCKSTEP_RUNS.values(), ids=LOCKSTEP_RUNS.keys())
 def test_lockstep_starts_match_lone_runs(run, monkeypatch):
-    # record each start's generator arguments, the lockstep trajectories and
-    # objective functions, every stack the search evaluates, solves or
-    # differentiates (in call order), and every singular-row fallback; the
-    # shared record keeps every tracked point
-    path_args, trajectories, fns, stacks, calls, dets = [], [], [], [], [], []
+    # record each start's generator arguments and asks, the lockstep
+    # trajectories and objective functions, every stack the search
+    # evaluates, solves or differentiates (in call order), and every
+    # singular-row fallback; the shared record keeps every tracked point
+    path_args, trajectories, fns, stacks, calls, asks, dets = [], [], [], [], [], [], []
     start_path, lockstep = search._start_path, search._lockstep
     solve, slogdet = search.local_density_subgradients, np.linalg.slogdet
 
     def recording_path(*args):
         path_args.append(args)
-        return start_path(*args)
+        return recorded(len(path_args) - 1, start_path(*args))
+
+    def recorded(start, path):
+        # each ask with the calls made before it and the call that answers it
+        ask = next(path)
+        while True:
+            made = len(calls) - 1
+            reply = yield ask
+            asks.append((start, ask[0], np.array(ask[1]), made, len(calls) - 1))
+            try:
+                ask = path.send(reply)
+            except StopIteration as stop:
+                return stop.value
 
     def recording(kind, fn):
         def wrapped(Bs):
@@ -370,20 +404,78 @@ def test_lockstep_starts_match_lone_runs(run, monkeypatch):
             [point for point in shared.points if point[0] == start], alone.points
         )
 
-    # one value call, then one solve, over the same stack each round; at
-    # most one gradient call after the solve, before the next round
-    rounds = []
-    for at, (kind, stack) in enumerate(calls):
-        if kind == "value":
-            assert calls[at + 1][0] == "solve" and np.array_equal(calls[at + 1][1], stack)
-        elif kind == "solve":
-            rounds.append((stack, None))
-        else:
-            assert calls[at - 1][0] == "solve"
-            rounds[-1] = (rounds[-1][0], stack)
-    assert len(rounds) == len(stacks) == sum(kind == "value" for kind, _ in calls)
+    # each round answers one kind of ask, gradients before values before
+    # solves; a start solves one trial at a time, from its last value stack,
+    # and asks for a gradient only where it stands
+    _assert_rounds_answer_one_kind(calls, asks)
     distinct = [_distinct_points(shared.points, start) for start in range(len(path_args))]
-    _assert_gradients_follow_accepted_steps(rounds, distinct)
+    _assert_solves_follow_values(asks, distinct)
+
+
+@pytest.mark.parametrize("run", LOCKSTEP_RUNS.values(), ids=LOCKSTEP_RUNS.keys())
+def test_screened_trials_fail_the_exact_test(run, monkeypatch):
+    # every trial the witness bound drops is solved here and must fail the
+    # sufficient-decrease test with its exact d* as well
+    ladders, screen = [], search._screen
+
+    def spying_screen(B, trials, values, P, d, lam, penalized):
+        kept = dict(screen(B, trials, values, P, d, lam, penalized))
+        ladders.append((B, trials, values, P, d, lam, penalized, kept))
+        return screen(B, trials, values, P, d, lam, penalized)
+
+    monkeypatch.setattr(search, "_screen", spying_screen)
+    run(LOCKSTEP_CONFIG)
+    monkeypatch.undo()
+
+    dropped = 0
+    for B, trials, values, P, d, lam, penalized, kept in ladders:
+        rows = [j for j in range(len(trials)) if j not in kept]
+        dropped += len(rows)
+        bounds = search._witness_bounds(P, trials[rows])
+        solved = local_density_subgradients(trials[rows])
+        for j, bound, (_, cert) in zip(rows, bounds, solved):
+            assert cert.d_star <= bound
+            step = trials[j] - B
+            bar = penalized - (ARMIJO_SIGMA / search.ARMIJO_LADDER[j]) * float(np.sum(step * step))
+            f = values[j] + lam * max(0.0, d - cert.d_star) ** 2
+            assert not (f < penalized and f <= bar), j
+    assert dropped > 0
+
+
+def _screen_inputs(rng, n):
+    """Matrices with tie sets or degenerate witnesses: 0.5 J + 1e-12 I (every
+    support's barycenter tied), a constant graphon (its vertices tied), a
+    zero diagonal (d* = 0 at every zero-diagonal vertex) and a duplicated
+    block (duplicate vertices tied)."""
+    uniform = _symmetric(rng.uniform(size=(n, n)))
+    zero_diagonal = uniform.copy()
+    zeros = np.arange(0, n, 2)
+    zero_diagonal[zeros, zeros] = 0.0
+    blocks = np.arange(n) // 2
+    return {
+        "barycentric": 0.5 + 1e-12 * np.eye(n),
+        "constant": np.full((n, n), 0.3),
+        "zero-diagonal": zero_diagonal,
+        "duplicated": uniform[np.ix_(blocks, blocks)],
+    }
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_witness_bound_holds_on_tie_sets(n):
+    # U = <P, B'> + SCREEN_MARGIN bounds the exact d*(B') and the solver's,
+    # on random symmetric steps B' = clip(B - eta E) from each input, small
+    # steps (where the bound is tightest) included
+    rng = np.random.default_rng(2100 + n)
+    for name, B in _screen_inputs(rng, n).items():
+        ((P, _),) = local_density_subgradients(B[None])
+        for _ in range(3):
+            E = _symmetric(rng.uniform(-1.0, 1.0, size=(n, n)))
+            etas = search.ARMIJO_LADDER[::6]
+            trials = np.clip(B - etas[:, None, None] * E, 0.0, 1.0)
+            bounds = search._witness_bounds(P, trials)
+            for Bn, bound, (_, cert) in zip(trials, bounds, local_density_subgradients(trials)):
+                assert Fraction(float(bound)) >= _exact_local_density(Bn), name
+                assert bound >= cert.d_star, name
 
 
 def test_bests_give_ties_to_the_earlier_start_then_the_earlier_point():
