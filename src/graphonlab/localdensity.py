@@ -53,6 +53,28 @@ ARMIJO_SIGMA = 1e-4  # sufficient-decrease coefficient
 ARMIJO_FACTOR = 0.5  # step shrink per backtrack
 
 
+def _armijo_ladder() -> np.ndarray:
+    """The backtracking steps eta = 1, ARMIJO_FACTOR, ARMIJO_FACTOR^2, ...
+    while above 1e-14."""
+    etas = []
+    eta = 1.0
+    while eta > 1e-14:
+        etas.append(eta)
+        eta *= ARMIJO_FACTOR
+    return np.array(etas)
+
+
+ARMIJO_LADDER = _armijo_ladder()
+
+
+def _decreases(f: float, f0: float, bar: float) -> bool:
+    """The sufficient-decrease test of a trial of value f from a point of
+    value f0, bar being f0 - (ARMIJO_SIGMA / eta) * ||step||^2.  A strict
+    decrease is required: once the sufficient-decrease term rounds to zero, a
+    plain <= would accept ties forever."""
+    return f < f0 and f <= bar
+
+
 @dataclass(eq=False)
 class LocalDensityCertificate:
     d_star: float
@@ -184,7 +206,7 @@ def _candidate_arrays(Bs: np.ndarray, cliques: list) -> tuple:
     are bit for bit the same whatever else is stacked with it."""
     k, n, _ = Bs.shape
     owners = [np.repeat(np.arange(k), n)]
-    values = [Bs.diagonal(axis1=1, axis2=2).reshape(-1)]
+    values = [Bs.diagonal(axis1=1, axis2=2).reshape(-1) + 0.0]  # a -0.0 diagonal gives d* = +0.0
     witnesses = [np.tile(np.eye(n), (k, 1))]
     for owner, sets in cliques:
         m, r = sets.shape
@@ -220,17 +242,17 @@ def _candidate_arrays(Bs: np.ndarray, cliques: list) -> tuple:
 def _certified_stack(Bs: np.ndarray) -> tuple:
     """Guard and select for the stack Bs (shape (k, n, n)), after charging
     its 2^n supports per matrix: (owner, values, witnesses) as from
-    _candidate_arrays but grouped by matrix, and best, the row of each
-    matrix's certificate, which is its first candidate of least value in scan
-    order.
+    _candidate_arrays, in scan order, and best, the row of each matrix's
+    certificate, which is its first candidate of least value in scan order.
 
-    A matrix with a zero diagonal entry has d* = 0; its candidates are its
-    zero-diagonal vertices and no support is enumerated.  The others go
-    through _candidate_arrays together, on the cliques of their convexity
-    graphs, pairs included: every candidate is a vertex or a stationary point
-    interior to a clique support, and every local minimizer is among them
-    (module docstring).  A pair off the graph is never solved: an interior
-    stationary point of a pair with c_ij < 0 is a maximum along its edge.
+    Every matrix goes through _candidate_arrays, on the cliques of its
+    convexity graph, pairs included: every candidate is a vertex or a
+    stationary point interior to a clique support, and every local minimizer
+    is among them (module docstring).  A pair off the graph is never solved:
+    an interior stationary point of a pair with c_ij < 0 is a maximum along
+    its edge.  A matrix with a zero diagonal entry has d* = 0, attained at
+    that vertex, and no support can go below it, so its graph gets no edges
+    and its candidates are its vertices.
 
     The charge stays 2^n supports per matrix, an upper bound on the supports
     visited, vertices included.  It is made before the graphs are known, and
@@ -238,22 +260,12 @@ def _certified_stack(Bs: np.ndarray) -> tuple:
     graphon is complete, so all 2^n - 1 of its supports are visited."""
     k, n, _ = Bs.shape
     charge(2**n, DEFAULT_SUPPORT_BUDGET, "exact solver", "supports")
-    diags = np.diagonal(Bs, axis1=1, axis2=2)
-    live = np.flatnonzero(np.all(diags != 0.0, axis=1))
-    dead, vertex = np.nonzero(diags == 0.0)
-    Ls = Bs[live]
-    owner, values, witnesses = _candidate_arrays(Ls, _cliques(_convexity_edges(Ls)))
-    owner = np.concatenate([live[owner], dead])
-    # group by matrix; the stable sort keeps each matrix's scan order
-    order = np.argsort(owner, kind="stable")
-    owner = owner[order]
-    values = np.concatenate([values, np.zeros(len(dead))])[order]
-    witnesses = np.concatenate([witnesses, np.eye(n)[vertex]])[order]
-    # every matrix has a candidate (its vertices), so each segment is non-empty
-    matrices = np.arange(k)
-    lows = np.minimum.reduceat(values, np.searchsorted(owner, matrices))
-    hits = np.flatnonzero(values == lows[owner])
-    best = hits[np.searchsorted(owner[hits], matrices)]
+    live = np.all(np.diagonal(Bs, axis1=1, axis2=2) != 0.0, axis=1)
+    edges = _convexity_edges(Bs) & live[:, None, None]
+    owner, values, witnesses = _candidate_arrays(Bs, _cliques(edges))
+    # by matrix, then value; the sort is stable, so a tie keeps scan order
+    order = np.lexsort((values, owner))
+    best = order[np.searchsorted(owner[order], np.arange(k))]
     return owner, values, witnesses, best
 
 
@@ -320,10 +332,11 @@ def local_density_subgradients(Bs, tie_tol: float = 1e-10) -> list:
     tie_tol.  A nearly degenerate clique face, whose KKT system is
     ill-conditioned, is solved like any other, so its interior stationary
     point enters the tie set too: on 0.5 J + 1e-12 I every support's
-    barycenter lies within tie_tol = 1e-10.  At a zero diagonal the tie set
-    is all the zero-diagonal vertices.  Most matrices have one candidate in
-    it, the certificate's witness x, and P = x x^T for all of them at once:
-    the same bits as averaging one outer product.  Real tie sets go through
+    barycenter lies within tie_tol = 1e-10.  A matrix with a zero diagonal
+    entry has no clique supports, so its tie set is its vertices within
+    tie_tol.  Most matrices have one candidate in it, the certificate's
+    witness x, and P = x x^T for all of them at once: the same bits as
+    averaging one outer product.  Real tie sets go through
     _averaged_outer one matrix at a time.
 
     The solver charges 2^n supports per stack, whatever the graphs: an upper
@@ -353,19 +366,13 @@ def _pgd(B: np.ndarray, x0: np.ndarray):
         mapped = project_to_simplex(x - g)
         if float(np.linalg.norm(x - mapped)) <= PGD_STOP_TOL:
             break
-        eta = 1.0
-        accepted = False
-        while eta > 1e-14:
+        for eta in ARMIJO_LADDER.tolist():
             xn = project_to_simplex(x - eta * g)
             step = xn - x
             fn = float(xn @ B @ xn)
-            # the strict inequality matters: once the sufficient-decrease term
-            # rounds to zero the test would accept ties forever without it
-            if fn < fx and fn <= fx - (ARMIJO_SIGMA / eta) * float(step @ step):
-                accepted = True
+            if _decreases(fn, fx, fx - (ARMIJO_SIGMA / eta) * float(step @ step)):
                 break
-            eta *= ARMIJO_FACTOR
-        if not accepted:
+        else:
             break
         x, fx = xn, fn
     return fx, x

@@ -16,10 +16,11 @@ toward the all-ones graphon (safe because d* is concave) and only then
 compared by value.  The tolerance itself decides the feasible/infeasible
 flag, not which value wins.
 
-Each gradient step backtracks along eta = 1, 1/2, 1/4, ... (Armijo).  The
-objective values of the whole ladder are evaluated as one stack, and the
-ladder is walked in order: the first step the sequential sufficient-decrease
-rule accepts is taken, so the accepted eta, and with it the whole search
+Each gradient step backtracks along eta = 1, 1/2, 1/4, ... (Armijo), the
+ladder and sufficient-decrease test of localdensity's projected gradient
+estimate (ARMIJO_LADDER, _decreases).  The objective values of the whole
+ladder are evaluated as one stack, and the ladder is walked in order: the
+first step the sequential sufficient-decrease rule accepts is taken, so the accepted eta, and with it the whole search
 path, is exactly that of trying one step at a time.  Only the local density
 costs a solve, and a trial is solved only if it can pass: d* is a minimum of
 functions linear in the values (Bomze, "On standard quadratic optimization
@@ -59,7 +60,7 @@ import numpy as np
 from .density import grad_hom_densities, hom_densities, hom_density, per_entry_gradient
 from .graphs import Graph, graph_to_json, subdivide
 from .localdensity import (
-    ARMIJO_FACTOR, ARMIJO_SIGMA, local_density_exact, local_density_subgradients
+    ARMIJO_LADDER, ARMIJO_SIGMA, _decreases, local_density_exact, local_density_subgradients
 )
 from .operators import path_powers
 from .stepgraphon import StepGraphon, _random_symmetric, _uniform_measures, graphon_to_json
@@ -116,20 +117,6 @@ class SearchResult:
         return doc
 
 
-def _armijo_ladder() -> np.ndarray:
-    """The backtracking steps eta = 1, ARMIJO_FACTOR, ARMIJO_FACTOR^2, ...
-    while above 1e-14."""
-    etas = []
-    eta = 1.0
-    while eta > 1e-14:
-        etas.append(eta)
-        eta *= ARMIJO_FACTOR
-    return np.array(etas)
-
-
-ARMIJO_LADDER = _armijo_ladder()
-
-
 def _restore_feasibility(B: np.ndarray, d_star: float, d: float) -> np.ndarray:
     """Blend toward the all-ones matrix until d* >= d.
 
@@ -162,14 +149,6 @@ class _Bests:
                 self.near = (value, start, B.copy(), residual)
         if self.least is None or (residual, start) < self.least[:2]:
             self.least = (residual, start, B.copy(), value)
-
-
-def _decreases(f: float, penalized: float, bar: float) -> bool:
-    """The sufficient-decrease test of a trial whose penalized value is f,
-    bar being penalized - (ARMIJO_SIGMA / eta) * ||step||^2.  A strict
-    decrease is required: once the sufficient-decrease term rounds to zero, a
-    plain <= would accept ties forever."""
-    return f < penalized and f <= bar
 
 
 def _witness_bounds(P: np.ndarray, trials: np.ndarray) -> np.ndarray:

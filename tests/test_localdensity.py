@@ -123,6 +123,51 @@ def test_estimate_deterministic():
     np.testing.assert_array_equal(a.witness, b.witness)
 
 
+# local_density_estimate outputs (d*, witness) recorded as hex floats
+# before its descent walked the Armijo ladder it shares with the search;
+# starts=3, seed=5, on three matrices with interior minimizers, gen_random(4,
+# 1) and gen_random(6, 3, dirichlet_measures=True)
+PGD_MATRICES = [
+    [[0.894, 0.057, 0.288], [0.057, 0.88, 0.359], [0.288, 0.359, 0.956]],
+    [[0.794, 0.132, 0.321, 0.13], [0.132, 0.726, 0.399, 0.219], [0.321, 0.399, 0.714, 0.17], [0.13, 0.219, 0.17, 0.641]],
+    [
+        [0.755, 0.118, 0.125, 0.173, 0.118],
+        [0.118, 0.916, 0.169, 0.085, 0.238],
+        [0.125, 0.169, 0.716, 0.076, 0.256],
+        [0.173, 0.085, 0.076, 0.66, 0.041],
+        [0.118, 0.238, 0.256, 0.041, 0.649],
+    ],
+]
+PGD_RECORDED = [
+    ("0x1.c6605cbedac36p-2", ["0x1.a3424cb42e8d5p-2", "0x1.998d544e92523p-2", "0x1.8660bdfa7e404p-3"]),
+    (
+        "0x1.5a7b85aed7faep-2",
+        ["0x1.18fd12237c352p-2", "0x1.e0cc29afd9b28p-3", "0x1.1372c075a74d8p-3", "0x1.6ce378c9c34a8p-2"],
+    ),
+    (
+        "0x1.02721157ea77ep-2",
+        [
+            "0x1.7a16da2f21a10p-3",
+            "0x1.1684f8f4568d4p-3",
+            "0x1.72739bd43afb4p-3",
+            "0x1.2102a0cf6744bp-2",
+            "0x1.baeb4f697e4c0p-3",
+        ],
+    ),
+    ("0x1.7e6def348b749p-2", ["0x1.3f541eea626adp-1", "0x0.0p+0", "0x1.8157c22b3b2a4p-2", "0x0.0p+0"]),
+    ("0x1.f130619e5dde0p-6", ["0x0.0p+0"] * 4 + ["0x1.0000000000000p+0", "0x0.0p+0"]),
+]
+
+
+def test_estimate_matches_recorded_outputs_bitwise():
+    graphons = [StepGraphon(B, np.full(len(B), 1.0 / len(B))) for B in PGD_MATRICES]
+    graphons += [gen_random(4, 1), gen_random(6, 3, dirichlet_measures=True)]
+    for W, (d_star, witness) in zip(graphons, PGD_RECORDED, strict=True):
+        cert = local_density_estimate(W, starts=3, seed=5)
+        assert cert.d_star == float.fromhex(d_star)
+        assert cert.witness.tolist() == [float.fromhex(x) for x in witness]
+
+
 def test_grid_oracle_two_block():
     w = StepGraphon([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
     assert local_density_grid_oracle(w, 10) == pytest.approx(0.5)
@@ -270,6 +315,54 @@ def test_stacked_subgradients_match_single_calls_bitwise(n):
     _assert_same(local_density_subgradients(np.array(Bs[3:4]))[0], singles[3])
 
 
+def _regrouped_selection(owner, values, witnesses, k):
+    """The regrouping selection, kept as a reference: the candidates grouped
+    by matrix with a stable sort, each matrix's least value found by reduceat
+    over its segment, and its first candidate of that value taken.  (owner, values, witnesses, best) as from
+    _certified_stack, but grouped by matrix.  Test oracle only."""
+    order = np.argsort(owner, kind="stable")
+    owner, values, witnesses = owner[order], values[order], witnesses[order]
+    matrices = np.arange(k)
+    lows = np.minimum.reduceat(values, np.searchsorted(owner, matrices))
+    hits = np.flatnonzero(values == lows[owner])
+    return owner, values, witnesses, hits[np.searchsorted(owner[hits], matrices)]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_selection_matches_the_regrouped_selection_bitwise(n, monkeypatch):
+    # three draws of every _stack_inputs family, shuffled into one stack, so
+    # that each matrix's candidates interleave with the others'
+    rng = np.random.default_rng(600 + n)
+    Bs = np.array([B for _ in range(3) for B in _stack_inputs(rng, n)])
+    Bs = Bs[rng.permutation(len(Bs))]
+    want = local_density_subgradients(Bs)
+    certified_stack = localdensity._certified_stack
+    monkeypatch.setattr(
+        localdensity, "_certified_stack", lambda Bs: _regrouped_selection(*certified_stack(Bs)[:3], len(Bs))
+    )
+    got = local_density_subgradients(Bs)
+    assert len(got) == len(want)
+    for pair, pair_want in zip(got, want):
+        _assert_same(pair, pair_want)
+    # the families hold real tie sets: P averages several witnesses
+    assert any(np.linalg.matrix_rank(P) > 1 for P, _ in want)
+
+
+def test_zero_diagonal_ties_every_vertex_within_tie_tol():
+    # b_00 = 0 gives d* = 0 and no clique supports; the vertex e_1, of value
+    # 1e-11, lies within tie_tol, so P averages e_0 e_0^T and e_1 e_1^T
+    B = np.array([[0.0, 0.9, 0.8], [0.9, 1e-11, 0.9], [0.8, 0.9, 0.5]])
+    P, cert = local_density_subgradients(B[None])[0]
+    assert cert.d_star == 0.0 and np.array_equal(cert.witness, [1.0, 0.0, 0.0])
+    assert np.array_equal(P, np.diag([0.5, 0.5, 0.0]))
+    P, cert = local_density_subgradients(B[None], tie_tol=0.0)[0]
+    assert np.array_equal(P, np.diag([1.0, 0.0, 0.0]))
+    # a diagonal entry of -0.0 is a zero one, and d* is +0.0
+    B[0, 0] = -0.0
+    cert = local_density_exact(StepGraphon(B, np.full(3, 1.0 / 3)))
+    assert cert.d_star == 0.0 and math.copysign(1.0, cert.d_star) == 1.0
+
+
 def _supports(n, smallest=2):
     """Every support of smallest or more of n blocks, per cardinality, rows
     lexicographic."""
@@ -309,19 +402,19 @@ def _looped_subgradients(Bs, tie_tol=1e-10):
     ill-conditioned face the value computed for one can fall an ulp below
     d*, so they are left out of the argmin as well as the tie set.  (P, d*,
     witness, tie set) per matrix, the tie set as its witness rows in scan
-    order.  Test oracle only."""
+    order.  A matrix with a zero diagonal entry has d* = 0 and no clique
+    supports: its candidates are its vertices, under the same tie filter.
+    Test oracle only."""
     k, n, _ = Bs.shape
-    live = np.flatnonzero(np.all(np.diagonal(Bs, axis1=1, axis2=2) != 0.0, axis=1))
-    owner, values, witnesses = _full_enumeration(Bs[live])
+    owner, values, witnesses = _full_enumeration(Bs)
     out = []
     for j, B in enumerate(Bs):
-        if j in live:
-            mine = owner == np.searchsorted(live, j)
-            vals, xs = values[mine], witnesses[mine]
+        mine = owner == j
+        vals, xs = values[mine], witnesses[mine]
+        if np.all(np.diag(B) != 0.0):
+            on = _on_cliques(B, xs)
         else:
-            xs = np.eye(n)[np.diag(B) == 0.0]
-            vals = np.zeros(len(xs))
-        on = _on_cliques(B, xs)
+            on = np.count_nonzero(xs, axis=1) == 1
         vals, xs = vals[on], xs[on]
         i = int(np.argmin(vals))
         d_star = float(vals[i])
