@@ -29,9 +29,11 @@ the step that made it.
 
 The engine (_run) runs a program over a stack of value matrices at once,
 behind a leading stack axis.  hom_densities and grad_hom_densities take
-such stacks, as the penalty search evaluates its trial points;
-hom_density, hom_density_weighted and grad_hom_density, and through
-hom_density the walk-kernel shortcut, are the stack of one.  np.matmul and
+such stacks, as the penalty search evaluates its trial points, and so do
+their walk-kernel twins hom_densities_subdivided and
+grad_hom_densities_subdivided, t of the s-subdivision of H as t(H, W_{s+1});
+hom_density, hom_density_weighted, hom_density_subdivided and
+grad_hom_density are the stack of one.  np.matmul and
 np.einsum over the stack axis round each matrix as a lone call would (a
 property of the numpy/BLAS build that the tests pin), so an entry of a
 stack is, bit for bit, the one-graphon result.
@@ -55,8 +57,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .budget import DEFAULT_CELL_BUDGET, DEFAULT_ENUMERATION_BUDGET, charge
-from .graphs import Graph, subdivide
-from .operators import path_power
+from .graphs import Graph
+from .operators import path_powers
 from .stepgraphon import StepGraphon, as_step_function
 
 # Bound of each plan cache (plans and shared layouts).  The working sets
@@ -345,9 +347,20 @@ def hom_density_subdivided(H: Graph, s: int, W: StepGraphon) -> float:
     """
     if s < 0:
         raise ValueError("subdivision count must be nonnegative")
+    return float(hom_densities_subdivided(H, s, W.values[None], W.measures)[0])
+
+
+def hom_densities_subdivided(
+    H: Graph, s: int, Bs: np.ndarray, measures: np.ndarray
+) -> np.ndarray:
+    """hom_density_subdivided for each value matrix of the stack Bs, on the
+    block measures given; unvalidated, as in hom_densities.  The walk kernel
+    carries the measures normalized once more, as path_power's graphon does;
+    that renormalization can move a bit, even of uniform measures (n = 6 or
+    7, say)."""
     if s == 0:
-        return hom_density(H, W)
-    return hom_density(H, path_power(W, s + 1))
+        return hom_densities(H, Bs, measures)
+    return hom_densities(H, path_powers(Bs, measures, s + 1), measures / float(measures.sum()))
 
 
 def grad_hom_density(H: Graph, W: StepGraphon) -> np.ndarray:
@@ -404,6 +417,32 @@ def grad_hom_densities(H: Graph, Bs: np.ndarray, measures: np.ndarray) -> np.nda
                     pending[step.slots[i]] = adjoint
     G = A + A.transpose(0, 2, 1)
     _diagonal(G)[...] = _diagonal(A)
+    return G
+
+
+def grad_hom_densities_subdivided(
+    H: Graph, s: int, Bs: np.ndarray, measures: np.ndarray
+) -> np.ndarray:
+    """The gradients of hom_densities_subdivided in the symmetric
+    parametrization, as grad_hom_densities gives them.
+
+    With C = diag(mu) B and D = B diag(mu), the walk kernel is V = B C^s,
+    and E, the per-entry gradient of t(H, .) at V, pulls back to the
+    per-entry gradient P = sum over p = 0..s of C^p E D^(s-p) (B being
+    symmetric).
+    """
+    if s == 0:
+        return grad_hom_densities(H, Bs, measures)
+    V = path_powers(Bs, measures, s + 1)
+    E = per_entry_gradient(grad_hom_densities(H, V, measures / float(measures.sum())))
+    C, D = measures[:, None] * Bs, Bs * measures[None, :]
+    c_pow, d_pow = [np.eye(len(measures))], [np.eye(len(measures))]
+    for _ in range(s):
+        c_pow.append(c_pow[-1] @ C)
+        d_pow.append(d_pow[-1] @ D)
+    P = sum(c_pow[p] @ E @ d_pow[s - p] for p in range(s + 1))
+    G = P + P.transpose(0, 2, 1)
+    _diagonal(G)[...] = _diagonal(P)
     return G
 
 

@@ -1,11 +1,13 @@
 """Constrained minimization of homomorphism densities over step graphons.
 
-Hunts for violations of t(H, W) >= d^e(H) among graphons with local density
-at least d: minimize t(H, W) + lambda * max(0, d - d*(W))^2 over symmetric
-values in [0, 1]^(n x n) (measures stay uniform), escalating lambda through a
-fixed schedule.  The subgradient of d* comes from the witness outer product;
-at degenerate minimizers the outer products of all tied witnesses are
-averaged.
+Hunts for violations of t(F, W) >= d^e(F), F the s-subdivision of a pattern
+H (s = 0 in minimize_hom_density, s = 2k in probe_even_subdivision), among
+graphons with local density at least d: minimize t(F, W) + lambda * max(0,
+d - d*(W))^2 over symmetric values in [0, 1]^(n x n) (measures stay uniform),
+escalating lambda through a fixed schedule.  t(F, W) and its gradient come
+from density's walk-kernel shortcut t(H, W_{s+1}).  The subgradient of d*
+comes from the witness outer product; at degenerate minimizers the outer
+products of all tied witnesses are averaged.
 
 A best-so-far iterate is tracked across the whole run, and start 0 is the
 constant-d graphon, which is feasible with ratio exactly 1; a run can only
@@ -57,13 +59,16 @@ from itertools import accumulate
 
 import numpy as np
 
-from .density import grad_hom_densities, hom_densities, hom_density, per_entry_gradient
+from .density import (
+    grad_hom_densities_subdivided, hom_densities_subdivided, hom_density, hom_density_subdivided,
+    per_entry_gradient,
+)
 from .graphs import Graph, graph_to_json, subdivide
 from .localdensity import (
     ARMIJO_LADDER, ARMIJO_SIGMA, _decreases, local_density_exact, local_density_subgradients
 )
-from .operators import path_powers
 from .stepgraphon import StepGraphon, _random_symmetric, _uniform_measures, graphon_to_json
+from .verify import even_subdivision_bounds
 
 LAMBDA_SCHEDULE = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 SCREEN_MARGIN = 1e-12  # added to the witness bound on d*, see _witness_bounds
@@ -294,23 +299,15 @@ def _lockstep(paths: list, value_fn, grad_fn) -> list:
 
 
 def _penalty_search(
-    task: dict,
-    H: Graph,
-    value_fn,
-    grad_fn,
-    verify_fn,
-    d: float,
-    n: int,
-    cfg: SearchConfig,
-    seed: int,
-    bound: float,
-    weak_bound: float | None = None,
+    task: dict, H: Graph, s: int, d: float, n: int, cfg: SearchConfig, seed: int,
+    constant: float | None = None,
 ) -> SearchResult:
-    """value_fn(Bs, measures) returns the objective at each value matrix of
-    the stack Bs, all on the block measures given, and grad_fn(Bs, measures)
-    its per-entry gradients (see per_entry_gradient); verify_fn(W) recomputes
-    the objective of a graphon by another route.  The result's config echoes
-    task, then the pattern H, d, n and every SearchConfig field."""
+    """Minimize t of the s-subdivision of H, through the walk-kernel
+    shortcut t(H, W_{s+1}) (hom_densities_subdivided and its gradient), and
+    re-verify the best value by elimination on the subdivided pattern F.
+    The bound is d^e(F) = d^((s+1) e(H)), and with a constant c the weak
+    bound c d^e(F) is reported too.  The result's config echoes task, then
+    the pattern H, d, n and every SearchConfig field."""
     if not 0.0 < d < 1.0:
         raise ValueError("target density must lie in (0, 1)")
     if cfg.starts < 1:
@@ -332,8 +329,8 @@ def _penalty_search(
     bests = _Bests()
     trajectories = _lockstep(
         [_start_path(i, B0, d, cfg, bests) for i, B0 in enumerate(starts)],
-        lambda Bs: value_fn(Bs, measures),
-        lambda Bs: grad_fn(Bs, measures),
+        lambda Bs: hom_densities_subdivided(H, s, Bs, measures),
+        lambda Bs: per_entry_gradient(grad_hom_densities_subdivided(H, s, Bs, measures)),
     )
 
     best, near = bests.best, bests.near
@@ -341,7 +338,7 @@ def _penalty_search(
         value, start_index, B, residual = near
         restored = _restore_feasibility(B, d - residual, d)
         W = StepGraphon(restored, mu)
-        vr = float(value_fn(W.values[None], W.measures)[0])
+        vr = hom_density_subdivided(H, s, W)
         rr = max(0.0, d - local_density_exact(W).d_star)
         if rr == 0.0 and (best is None or vr < best[0]):
             best = (vr, start_index, restored, rr)
@@ -354,11 +351,14 @@ def _penalty_search(
     else:
         residual, start_index, B, value = bests.least
     W = StepGraphon(B, mu)
-    verified = verify_fn(W)
+    F = subdivide(H, s)
+    verified = hom_density(F, W)
     if not math.isclose(verified, value, rel_tol=1e-9, abs_tol=1e-12):
         raise AssertionError(
             f"re-verified best value {verified!r} disagrees with tracked {value!r}"
         )
+    bound = float(d) ** F.edge_count
+    weak_bound = None if constant is None else constant * bound
     return SearchResult(
         best_graphon=W,
         best_value=verified,
@@ -381,18 +381,8 @@ def minimize_hom_density(
 
     Returns the best feasible point found (feasible=False and the least
     infeasible point when no start reaches the feasibility tolerance)."""
-    return _penalty_search(
-        task={"task": "minimize_hom_density"},
-        H=H,
-        value_fn=lambda Bs, mu: hom_densities(H, Bs, mu),
-        grad_fn=lambda Bs, mu: per_entry_gradient(grad_hom_densities(H, Bs, mu)),
-        verify_fn=lambda W: hom_density(H, W),
-        d=d,
-        n=n,
-        cfg=config or SearchConfig(),
-        seed=seed,
-        bound=float(d) ** H.edge_count,
-    )
+    task = {"task": "minimize_hom_density"}
+    return _penalty_search(task, H, 0, d, n, config or SearchConfig(), seed)
 
 
 def probe_even_subdivision(
@@ -400,53 +390,15 @@ def probe_even_subdivision(
 ) -> SearchResult:
     """Search for violations of the constant-free even-subdivision bound.
 
-    Minimizes t of the 2k-subdivision of H through the walk-kernel shortcut
-    t(H, W_{2k+1}); the result is re-verified against a direct density
-    computation on the subdivided pattern.  best_ratio is reported against the
-    aspirational bound d^((2k+1) e(H)); weak_ratio against the proven
-    constant-factor bound."""
+    Minimizes t of the 2k-subdivision of H (see _penalty_search).
+    best_ratio is reported against the aspirational bound d^((2k+1) e(H));
+    weak_ratio against the proven constant-factor bound c_H d^((2k+1) e(H))
+    (verify.even_subdivision_bounds)."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    m = 2 * k + 1
-    e = H.edge_count
-    strong = float(d) ** (m * e)
-    c_H = 0.5 ** (H.vertex_count + 2 * k * e)
-    subdivided = subdivide(H, 2 * k)
-
-    # path_power's kernel carries the graphon's measures normalized once
-    # more, and its density and gradient see those; that renormalization can
-    # move a bit, even of uniform measures (n = 6 or 7, say)
-    def value_fn(Bs: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        return hom_densities(H, path_powers(Bs, mu, m), mu / float(mu.sum()))
-
-    def grad_fn(Bs: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        V = path_powers(Bs, mu, m)
-        Ev = per_entry_gradient(grad_hom_densities(H, V, mu / float(mu.sum())))
-        C = mu[:, None] * Bs
-        D = Bs * mu[None, :]
-        c_pow = [np.eye(len(mu))]
-        d_pow = [np.eye(len(mu))]
-        for _ in range(m - 1):
-            c_pow.append(c_pow[-1] @ C)
-            d_pow.append(d_pow[-1] @ D)
-        P = np.zeros_like(Bs)
-        for p in range(1, m + 1):
-            P += c_pow[p - 1] @ Ev @ d_pow[m - p]
-        return (P + P.transpose(0, 2, 1)) / 2.0
-
-    return _penalty_search(
-        task={"task": "probe_even_subdivision", "k": int(k)},
-        H=H,
-        value_fn=value_fn,
-        grad_fn=grad_fn,
-        verify_fn=lambda W: hom_density(subdivided, W),
-        d=d,
-        n=n,
-        cfg=config or SearchConfig(),
-        seed=seed,
-        bound=strong,
-        weak_bound=c_H * strong,
-    )
+    _, c_H = even_subdivision_bounds(H, k, d)
+    task = {"task": "probe_even_subdivision", "k": int(k)}
+    return _penalty_search(task, H, 2 * k, d, n, config or SearchConfig(), seed, c_H)
 
 
 def result_to_json_text(result: SearchResult) -> str:

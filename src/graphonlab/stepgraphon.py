@@ -112,6 +112,8 @@ class OccupancyVector:
         self.values = np.array(self.values, dtype=float)
         if self.values.ndim != 1:
             raise ValueError("occupancy must be a vector")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("occupancy entries must be finite")
         if np.any(self.values < -VALUE_DRIFT_TOL) or np.any(self.values > 1.0 + VALUE_DRIFT_TOL):
             raise ValueError("occupancy entries must lie in [0, 1]")
         self.values = np.clip(self.values, 0.0, 1.0)

@@ -174,6 +174,14 @@ def check_knrs(
     return _report("knrs", hom_density(H, W), d**H.edge_count, {"H": H, "W": W, "d": d}, meta)
 
 
+def even_subdivision_bounds(H: Graph, k: int, d: float) -> tuple:
+    """(d^((2k+1) e(H)), c_H): the constant-free bound on t of the
+    2k-subdivision of H over graphons of local density d, and the constant
+    c_H = (1/2)^(v(H) + 2k e(H)) of the proven weak bound c_H d^((2k+1) e(H))."""
+    e = H.edge_count
+    return float(d) ** ((2 * k + 1) * e), 0.5 ** (H.vertex_count + 2 * k * e)
+
+
 def check_weakly_knrs(
     H: Graph, k: int, W: StepGraphon, metadata: dict | None = None
 ) -> VerificationReport:
@@ -185,10 +193,8 @@ def check_weakly_knrs(
     that flag is never a pass criterion."""
     _check_half_length(k)
     d = float(local_density_exact(W).d_star)
-    e = H.edge_count
     computed = hom_density_subdivided(H, 2 * k, W)
-    strong = d ** ((2 * k + 1) * e)
-    c_H = 0.5 ** (H.vertex_count + 2 * k * e)
+    strong, c_H = even_subdivision_bounds(H, k, d)
     meta = {
         **_registry_meta(H),
         "d": d,
@@ -228,7 +234,7 @@ def check_regular_subdivision_knrs(
     d = float(local_density_exact(W).d_star)
     meta = {**_registry_meta(H), "d": d, "k": k, **(metadata or {})}
     computed = hom_density_subdivided(H, 2 * k, W)
-    bound = d ** ((2 * k + 1) * H.edge_count)
+    bound, _ = even_subdivision_bounds(H, k, d)
     return _report("regular_subdivision_knrs", computed, bound, {"H": H, "W": W, "k": k}, meta)
 
 

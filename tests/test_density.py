@@ -36,7 +36,12 @@ from graphonlab import (
 from graphonlab import density, localdensity
 from graphonlab.cli import cli, parse_graphon, parse_pattern
 from graphonlab.density import (
-    PROGRAM_CACHE_SIZE, grad_hom_densities, hom_densities, plan_elimination
+    PROGRAM_CACHE_SIZE,
+    grad_hom_densities,
+    grad_hom_densities_subdivided,
+    hom_densities,
+    hom_densities_subdivided,
+    plan_elimination,
 )
 from graphonlab.operators import path_powers
 from graphonlab.stepgraphon import as_step_function
@@ -454,8 +459,9 @@ def _random_values(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_stacked_calls_match_one_graphon_calls_bitwise(n):
-    """hom_densities, grad_hom_densities and path_powers against hom_density,
-    grad_hom_density and path_power per matrix, with the stack's measures
+    """hom_densities, grad_hom_densities, path_powers and
+    hom_densities_subdivided against hom_density, grad_hom_density,
+    path_power and hom_density_subdivided per matrix, with the stack's measures
     those of the graphons: uniform (whose renormalization moves a bit at
     n = 6 and 7) and Dirichlet.  Bit equality holds because np.matmul over a
     stack rounds each matrix as a lone product does; that is a property of
@@ -474,6 +480,9 @@ def test_stacked_calls_match_one_graphon_calls_bitwise(n):
             s = 1 + i % 5
             want = np.stack([path_power(W, s).values for W in Ws])
             assert np.array_equal(path_powers(Bs, measures, s), want), case
+            for s in range(5):
+                want = [hom_density_subdivided(H, s, W) for W in Ws]
+                assert hom_densities_subdivided(H, s, Bs, measures).tolist() == want, case + (s,)
 
 
 @pytest.mark.parametrize("n", (1, 3, 9))
@@ -484,10 +493,28 @@ def test_stacked_calls_on_an_empty_stack(n):
     for H in STACK_PATTERNS.values():
         assert hom_densities(H, Bs, measures).shape == (0,)
         assert grad_hom_densities(H, Bs, measures).shape == (0, n, n)
+        for s in (0, 2):
+            assert hom_densities_subdivided(H, s, Bs, measures).shape == (0,)
+            assert grad_hom_densities_subdivided(H, s, Bs, measures).shape == (0, n, n)
     assert path_powers(Bs, measures, 3).shape == (0, n, n)
     edges = localdensity._convexity_edges(Bs)
     assert edges.shape == (0, n, n) and localdensity._cliques(edges) == []
     assert localdensity.local_density_subgradients(Bs) == []
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_subdivided_gradient_matches_the_engine_on_the_subdivided_pattern(n):
+    """The walk-kernel chain rule of grad_hom_densities_subdivided against
+    the reverse pass of the elimination engine on the s-subdivided pattern,
+    an independent route to the same derivative."""
+    rng = np.random.default_rng([2024, n])
+    for H in (clique(2), clique(3), cycle_graph(5)):
+        for s in range(1, 5):
+            measures = rng.dirichlet(np.ones(n))
+            Bs = _random_values(rng, n, 3)
+            want = grad_hom_densities(subdivide(H, s), Bs, measures)
+            got = grad_hom_densities_subdivided(H, s, Bs, measures)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"{H} s={s}")
 
 
 def test_engine_runs_on_fraction_entries():

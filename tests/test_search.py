@@ -228,7 +228,10 @@ def test_probe_search_path_is_pinned():
 # Recorded before the search evaluated its trial points in stacks.  At n = 6
 # and 7, mu / mu.sum() of uniform measures is not idempotent, so these pin
 # which normalization of the measures each density, gradient and walk power
-# sees; the n = 3 and 4 fixtures cannot tell them apart.
+# sees: the walk power gets the search's, and the probe's density and
+# gradient on the walk kernel (density.hom_densities_subdivided and its
+# gradient) get those normalized once more.  The n = 3 and 4 fixtures cannot
+# tell them apart.
 @pytest.mark.parametrize("n", (6, 7))
 def test_search_paths_with_unsettled_measures_are_pinned(n):
     result = minimize_hom_density(clique(3), 0.5, n, PATH_CONFIG, seed=0)

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,9 @@ def test_step_function_validation():
 def test_occupancy_validation():
     with pytest.raises(ValueError):
         OccupancyVector([1.5])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            OccupancyVector([bad, 0.5, 0.2])
     a = OccupancyVector([0.5, 1.0])
     assert a.measure([0.5, 0.5]) == pytest.approx(0.75)
 

@@ -185,6 +185,9 @@ def test_restriction_pullback_identity():
     assert r.passed
     assert r.metadata["kind"] == "identity"
     assert abs(r.computed_value - r.bound_value) <= 1e-12
+    # a NaN occupancy is an input error, not a report of NaN values
+    with pytest.raises(ValueError, match="finite"):
+        check_restriction_pullback(gen_random(3, 1), [1, 1, 1], [np.nan, 0.5, 0.2])
 
 
 def test_transform_identity_and_s_zero():
