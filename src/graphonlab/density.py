@@ -4,8 +4,9 @@ Two engines compute t(H, W) = sum over block maps of the product of edge
 values times the product of block measures:
 
 * hom_density_naive forms the product of every one of the n^v(H) maps,
-  broadcast over a tensor with one axis per pattern vertex, and adds them
-  all in one correctly rounded math.fsum.  It is the oracle and stays a
+  broadcast over a tensor with one axis per pattern vertex, sums the terms
+  exactly by exponent and rounds once by math.fsum: bit for bit one
+  correctly rounded math.fsum of all maps.  It is the oracle and stays a
   direct transcription of the definition.
 * hom_density eliminates one pattern vertex at a time (bucket elimination;
   greedy minimum degree, ties to the lowest vertex id), which turns
@@ -297,6 +298,25 @@ def hom_densities(H: Graph, Bs: np.ndarray, measures: np.ndarray) -> np.ndarray:
     return _run(_charged_plan(H, len(measures)), Bs, measures)[0]
 
 
+def _exact_partials(terms: np.ndarray) -> np.ndarray:
+    """Nonzero float64 partials whose exact sum is that of the 1-D float64
+    terms, for at most 2^26 terms of size at most 1 (Zhu & Hayes, SIAM J.
+    Sci. Comput. 31, 2009): one math.fsum of them is math.fsum of the
+    terms, bit for bit.
+
+    A term of exponent field E splits exactly into hi, itself with the low 26
+    mantissa bits cleared, and lo = term - hi.  Binned by E, each hi is a
+    multiple of 2^(E-26) below 2^(E+1) in size and each lo a multiple of
+    2^(E-52) below 2^(E-26) (unbiased E; subnormals, field 0, alike), so
+    every partial sum of a bin fits in 53 bits and np.bincount adds exactly.
+    """
+    bits = terms.view(np.int64)
+    field = (bits >> 52) & 0x7FF
+    hi = (bits & (-1 << 26)).view(np.float64)
+    sums = np.stack((np.bincount(field, weights=hi), np.bincount(field, weights=terms - hi)))
+    return sums[sums != 0.0]
+
+
 def hom_density_naive(H: Graph, W: StepGraphon) -> float:
     """t(H, W) by full enumeration of all n^v(H) block maps.
 
@@ -306,9 +326,17 @@ def hom_density_naive(H: Graph, W: StepGraphon) -> float:
     order (edges in edge_list order, then vertices 0..v(H)-1), so every
     map's product is formed explicitly in float64.  The tensor is built in
     blocks that fix the leading vertices, each at most 2^18 terms on at
-    most 18 axes (numpy allows 64, which n = 1 could otherwise exceed), and
-    all terms go into one math.fsum: the correctly rounded sum over all
-    maps (Shewchuk, Discrete Comput. Geom. 18, 1997).
+    most 18 axes (numpy allows 64, which n = 1 could otherwise exceed).
+
+    Each block's terms, all in [0, 1], are summed exactly by exponent
+    (_exact_partials; Zhu & Hayes, SIAM J. Sci. Comput. 31, 2009): a term
+    splits into hi, its low 26 mantissa bits cleared, and lo = term - hi,
+    and np.bincount adds the hi and the lo parts by exponent field.  With at
+    most 2^26 terms to a bin every partial sum fits in 53 bits, so each bin
+    sum is exact, and one math.fsum of all blocks' nonzero bin sums is the
+    correctly rounded sum over all maps (Shewchuk, Discrete Comput. Geom.
+    18, 1997).  Correct rounding is unique, so these are the bits of one
+    math.fsum over every map's term.
     """
     n = W.n
     vH = H.vertex_count
@@ -322,7 +350,9 @@ def hom_density_naive(H: Graph, W: StepGraphon) -> float:
     lead = vH - width
     factors = [(edge, W.values) for edge in H.edge_list] + [((p,), W.measures) for p in range(vH)]
 
-    def block(fixed: tuple) -> list:
+    full = (n,) * width
+
+    def block(fixed: tuple) -> np.ndarray:
         term = 1.0
         for scope, F in factors:
             # the fixed vertices index F; the others, in increasing order as
@@ -332,8 +362,11 @@ def hom_density_naive(H: Graph, W: StepGraphon) -> float:
             for w in scope:
                 if w >= lead:
                     shape[w - lead] = n
-            term = term * F.reshape(shape)
-        return term.ravel().tolist()
+            if np.shape(term) == full:  # every axis present: multiply in place
+                term *= F.reshape(shape)
+            else:
+                term = term * F.reshape(shape)
+        return _exact_partials(term.ravel())
 
     return math.fsum(chain.from_iterable(map(block, product(range(n), repeat=lead))))
 

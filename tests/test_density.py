@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_graph, random_graphon
 from graphonlab import (
@@ -37,6 +38,7 @@ from graphonlab import density, localdensity
 from graphonlab.cli import cli, parse_graphon, parse_pattern
 from graphonlab.density import (
     PROGRAM_CACHE_SIZE,
+    _exact_partials,
     grad_hom_densities,
     grad_hom_densities_subdivided,
     hom_densities,
@@ -215,6 +217,52 @@ def test_naive_rounds_the_sum_of_all_maps_once():
     assert twice_off == 4
 
 
+def _tie_cases():
+    # 1 + k 2^-53 lands on or beside a half-way point between neighbours
+    for base in (1.0, 1.0 + 2.0**-52, 0.75):
+        for k in range(1, 6):
+            yield np.array([base] + [2.0**-53] * k)
+    yield np.array([1.0, 2.0**-53, 2.0**-106])  # just above the tie: rounds up
+    yield np.array([1.0, 2.0**-53, -(2.0**-106)])  # just below: rounds down
+    yield np.array([2.0**-53] * 1000 + [1.0] + [2.0**-53] * 1001)
+
+
+EXACT_PARTIAL_CASES = {
+    "subnormal": np.array([5e-324, 2.0**-1022 - 5e-324, 3e-320, -5e-324, 2.0**-1022, 1e-310] * 50),
+    "signed zeros": np.array([-0.0, 0.0, -0.0, 1e-300, -0.0, 0.0]),
+    "2^18 copies of 1 - 2^-53": np.full(1 << 18, 1.0 - 2.0**-53),
+    "130 exponents": np.array([(-1) ** i * (1.0 + i * 2.0**-40) * 2.0 ** (-8 * i) for i in range(130)]),
+} | {f"tie {i}": x for i, x in enumerate(_tie_cases())}
+
+
+@pytest.mark.parametrize("name", EXACT_PARTIAL_CASES)
+def test_exact_partials_sum_to_fsum_bitwise(name):
+    x = EXACT_PARTIAL_CASES[name]
+    assert math.fsum(_exact_partials(x)) == math.fsum(x.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.integers(0, 5000),
+              elements=st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)))
+def test_exact_partials_sum_to_fsum_bitwise_on_any_terms(x):
+    assert math.fsum(_exact_partials(x)) == math.fsum(x.tolist())
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_naive_matches_enumeration_on_underflowing_terms(n):
+    # scaled by 10^-k the terms go subnormal, then to zero, map by map
+    rng = np.random.default_rng([25, n])
+    graphons = _oracle_graphons(n, rng)
+    signed = graphons["uniform"].values.copy()
+    signed[0, 1] = signed[1, 0] = -0.0
+    cases = [(f"{wname} 1e-{k}", StepGraphon(W.values * 10.0**-k, W.measures))
+             for wname, W in graphons.items() for k in range(0, 161, 10)]
+    cases.append(("-0.0 entry", StepGraphon(signed, graphons["uniform"].measures)))
+    for wname, W in cases:
+        for hname, H in NAIVE_PATTERNS.items():
+            assert hom_density_naive(H, W) == math.fsum(_enumerated_terms(H, W)), (wname, hname)
+
+
 def test_density_route_naive_prints_the_enumerated_sum():
     runner = CliRunner()
     for pattern, graphon, subdivision in (
@@ -222,6 +270,8 @@ def test_density_route_naive_prints_the_enumerated_sum():
         ("clique:3", "random:4:1", "1"),
         ("catalog:z6_chords", "random:3:5", "0"),
         ("cycle:5", "const:0.3:4", "0"),
+        # subnormal: the elimination route prints 1.000000003e-315 here
+        ("clique:3", "const:1e-105:3", "0"),
     ):
         res = runner.invoke(cli, ["density", "--pattern", pattern, "--graphon", graphon,
                                   "--route", "naive", "--subdivision", subdivision])
