@@ -67,12 +67,12 @@ def _armijo_ladder() -> np.ndarray:
 ARMIJO_LADDER = _armijo_ladder()
 
 
-def _decreases(f: float, f0: float, bar: float) -> bool:
-    """The sufficient-decrease test of a trial of value f from a point of
-    value f0, bar being f0 - (ARMIJO_SIGMA / eta) * ||step||^2.  A strict
-    decrease is required: once the sufficient-decrease term rounds to zero, a
-    plain <= would accept ties forever."""
-    return f < f0 and f <= bar
+def _decreases(f, f0, eta, sq):
+    """The Armijo test of trials (scalars or arrays) of value f, step size
+    eta and squared step norm sq from a point of value f0.  A strict decrease
+    is required: once the sufficient-decrease term rounds to zero, a plain <=
+    would accept ties forever."""
+    return (f < f0) & (f <= f0 - (ARMIJO_SIGMA / eta) * sq)
 
 
 @dataclass(eq=False)
@@ -103,13 +103,15 @@ class LocalDensityCertificate:
 
 
 def project_to_simplex(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sorting method)."""
+    """Euclidean projection onto the probability simplex (sorting method) of
+    a vector, or of each row of a stack, each row as if projected alone."""
     y = np.asarray(y, dtype=float)
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, len(y) + 1)
-    rho = np.nonzero(u - css / ind > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
+    n = y.shape[-1]
+    u = np.sort(y, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    # rho: the last index where u - css / (index + 1) > 0
+    rho = n - 1 - np.argmax((u - css / np.arange(1, n + 1) > 0)[..., ::-1], axis=-1, keepdims=True)
+    theta = np.take_along_axis(css, rho, axis=-1) / (rho + 1.0)
     return np.maximum(y - theta, 0.0)
 
 
@@ -358,59 +360,61 @@ def local_density_subgradients(Bs, tie_tol: float = 1e-10) -> list:
     return [(P[j], _certificate(values, witnesses, row)) for j, row in enumerate(best.tolist())]
 
 
-def _pgd(B: np.ndarray, x0: np.ndarray):
-    x = x0
-    fx = float(x @ B @ x)
-    for _ in range(PGD_MAX_ITERATIONS):
-        g = 2.0 * (B @ x)
-        mapped = project_to_simplex(x - g)
-        if float(np.linalg.norm(x - mapped)) <= PGD_STOP_TOL:
-            break
-        for eta in ARMIJO_LADDER.tolist():
-            xn = project_to_simplex(x - eta * g)
-            step = xn - x
-            fn = float(xn @ B @ xn)
-            if _decreases(fn, fx, fx - (ARMIJO_SIGMA / eta) * float(step @ step)):
-                break
-        else:
-            break
-        x, fx = xn, fn
-    return fx, x
+def _dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """np.dot of each row of U with the same row of V, bit for bit on this
+    numpy/BLAS build: np.matmul rounds each of a stack as alone (pinned)."""
+    return np.matmul(U[:, None, :], V[:, :, None])[:, 0, 0]
+
+
+def _pgd(B: np.ndarray, X: np.ndarray) -> tuple:
+    """Projected gradient descent on x^T B x with Armijo steps from each row
+    of X in lockstep: (values, points), each bit for bit its descent alone.
+    Each round, the starts on a new point get their gradient and leave once
+    stationary or after PGD_MAX_ITERATIONS steps; every live start then tries
+    its current rung of ARMIJO_LADDER, and leaves when the ladder runs out."""
+    X = X.copy()
+    values = _dots(np.matmul(X[:, None, :], B)[:, 0], X)
+    G = np.empty_like(X)
+    rungs = np.zeros(len(X), dtype=int)
+    steps = np.zeros(len(X), dtype=int)
+    live = fresh = np.arange(len(X))
+    while len(live):
+        x = X[fresh]
+        G[fresh] = g = 2.0 * np.matmul(B, x[:, :, None])[:, :, 0]
+        D = x - project_to_simplex(x - g)
+        done = (steps[fresh] == PGD_MAX_ITERATIONS) | (np.sqrt(_dots(D, D)) <= PGD_STOP_TOL)
+        live = np.setdiff1d(live, fresh[done], assume_unique=True)
+        x, etas = X[live], ARMIJO_LADDER[rungs[live]]
+        trials = project_to_simplex(x - etas[:, None] * G[live])
+        S = trials - x
+        f = _dots(np.matmul(trials[:, None, :], B)[:, 0], trials)
+        passed = _decreases(f, values[live], etas, _dots(S, S))
+        fresh = live[passed]
+        X[fresh], values[fresh], steps[fresh] = trials[passed], f[passed], steps[fresh] + 1
+        rungs[live] = np.where(passed, 0, rungs[live] + 1)
+        live = live[rungs[live] < len(ARMIJO_LADDER)]
+    return values, X
 
 
 def local_density_estimate(W: StepGraphon, starts: int = 20, seed: int = 0) -> LocalDensityCertificate:
     """Upper bound on d* by projected gradient descent with Armijo steps.
 
     Runs from the barycenter, every vertex, every pair midpoint, and `starts`
-    Dirichlet samples; the extra deterministic starts make small instances
-    agree with the exact solver in practice.  Deterministic for a fixed seed.
+    Dirichlet samples, all in lockstep (_pgd), and keeps the first start of
+    least value; the extra deterministic starts make small instances agree
+    with the exact solver in practice.  Deterministic for a fixed seed.
     Raises BudgetExceededError, before any descent, when the starts times
     n * n exceed DEFAULT_ESTIMATE_BUDGET (or GRAPHONLAB_BUDGET).
     """
     n = W.n
-    B = W.values
     count = 1 + n + n * (n - 1) // 2 + max(starts, 0)
     charge(count * n * n, DEFAULT_ESTIMATE_BUDGET, f"PGD with {count} starts on {n} blocks", "cells")
-    rng = np.random.default_rng(seed)
-    points = [np.full(n, 1.0 / n)]
-    for i in range(n):
-        x = np.zeros(n)
-        x[i] = 1.0
-        points.append(x)
-    for i, j in itertools.combinations(range(n), 2):
-        x = np.zeros(n)
-        x[i] = x[j] = 0.5
-        points.append(x)
-    for _ in range(starts):
-        points.append(rng.dirichlet(np.ones(n)))
-    best_value = math.inf
-    best_x = None
-    for x0 in points:
-        value, x = _pgd(B, x0)
-        if value < best_value:
-            best_value = value
-            best_x = x
-    return LocalDensityCertificate(best_value, best_x, "projected_gradient", math.inf)
+    vertices, (i, j) = np.eye(n), np.triu_indices(n, 1)
+    dirichlet = np.random.default_rng(seed).dirichlet(np.ones(n), size=max(starts, 0))
+    X = np.concatenate([np.full((1, n), 1.0 / n), vertices, 0.5 * (vertices[i] + vertices[j]), dirichlet])
+    values, points = _pgd(W.values, X)
+    best = int(np.argmin(values))
+    return LocalDensityCertificate(float(values[best]), points[best], "projected_gradient", math.inf)
 
 
 def _simplex_lattice(n: int, resolution: int) -> np.ndarray:

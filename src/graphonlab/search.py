@@ -20,14 +20,16 @@ flag, not which value wins.
 
 Each gradient step backtracks along eta = 1, 1/2, 1/4, ... (Armijo), the
 ladder and sufficient-decrease test of localdensity's projected gradient
-estimate (ARMIJO_LADDER, _decreases).  The objective values of the whole
-ladder are evaluated as one stack, and the ladder is walked in order: the
-first step the sequential sufficient-decrease rule accepts is taken, so the accepted eta, and with it the whole search
-path, is exactly that of trying one step at a time.  Only the local density
-costs a solve, and a trial is solved only if it can pass: d* is a minimum of
-functions linear in the values (Bomze, "On standard quadratic optimization
-problems", J. Global Optim. 13, 1998), so <P, B'> bounds d*(B') from above
-for the current point's averaged witness outer product P, and the penalized
+estimate: ARMIJO_LADDER, and _decreases(f, f0, eta, sq), which forms the bar
+from the step size eta and the squared step norm sq.  The objective values
+of the whole ladder are evaluated as one stack, and the ladder is walked in
+order: the first step the sequential sufficient-decrease rule accepts is
+taken, so the accepted eta, and with it the whole search path, is exactly
+that of trying one step at a time.  Only the local density costs a solve,
+and a trial is solved only if it can pass: d* is a minimum of functions
+linear in the values (Bomze, "On standard quadratic optimization problems",
+J. Global Optim. 13, 1998), so <P, B'> bounds d*(B') from above for the
+current point's averaged witness outer product P, and the penalized
 objective does not increase with d*.  A trial that fails the test with that
 bound (plus SCREEN_MARGIN, see _witness_bounds) in place of d* fails it with
 the exact d* too, and is skipped unsolved.  A value past the accepted step
@@ -64,9 +66,8 @@ from .density import (
     per_entry_gradient,
 )
 from .graphs import Graph, graph_to_json, subdivide
-from .localdensity import (
-    ARMIJO_LADDER, ARMIJO_SIGMA, _decreases, local_density_exact, local_density_subgradients
-)
+from .budget import DEFAULT_GRAPHON_CELLS, charge
+from .localdensity import ARMIJO_LADDER, _decreases, local_density_exact, local_density_subgradients
 from .stepgraphon import StepGraphon, _random_symmetric, _uniform_measures, graphon_to_json
 from .verify import even_subdivision_bounds
 
@@ -181,8 +182,8 @@ def _witness_bounds(P: np.ndarray, trials: np.ndarray) -> np.ndarray:
 
 def _screen(B, trials, values, P, d: float, lam: float, penalized: float):
     """The trials of the Armijo ladder from B that can pass the
-    sufficient-decrease test, in ladder order, as (j, bar): trial j, whose
-    objective value is values[j], and its test's bar.
+    sufficient-decrease test, in ladder order, as (j, sq): trial j, whose
+    objective value is values[j], and its squared step norm.
 
     Trial j is dropped when it fails the test with its witness bound U_j in
     place of its d*.  As U_j >= d* (_witness_bounds), max(0, d - U_j) <=
@@ -193,11 +194,11 @@ def _screen(B, trials, values, P, d: float, lam: float, penalized: float):
     the search would take a shorter step or end the level; every step it
     takes is still solved and tested exactly."""
     bounds = _witness_bounds(P, trials).tolist()
-    for j, (eta, Bn, vn, un) in enumerate(zip(ARMIJO_LADDER, trials, values, bounds)):
-        step = Bn - B
-        bar = penalized - (ARMIJO_SIGMA / eta) * float(np.sum(step * step))
-        if _decreases(vn + lam * max(0.0, d - un) ** 2, penalized, bar):
-            yield j, bar
+    # Python floats: on numpy scalars each _decreases call costs about 8 times as much
+    for j, (eta, Bn, vn, un) in enumerate(zip(ARMIJO_LADDER.tolist(), trials, values, bounds)):
+        sq = float(np.sum(np.square(Bn - B)))
+        if _decreases(vn + lam * max(0.0, d - un) ** 2, penalized, eta, sq):
+            yield j, sq
 
 
 def _start_path(start: int, B0: np.ndarray, d: float, cfg: SearchConfig, bests):
@@ -233,16 +234,14 @@ def _start_path(start: int, B0: np.ndarray, d: float, cfg: SearchConfig, bests):
                 break
             trials = np.clip(B - ARMIJO_LADDER[:, None, None] * E, 0.0, 1.0)
             values = yield "value", trials
-            accepted = None
-            for j, bar in _screen(B, trials, values, P, d, lam, penalized):
+            for j, sq in _screen(B, trials, values, P, d, lam, penalized):
                 Pn, cert = yield "solve", trials[j]
                 rn = max(0.0, d - cert.d_star)
-                if _decreases(values[j] + lam * rn**2, penalized, bar):
-                    accepted = (trials[j], values[j], Pn, rn)
+                if _decreases(values[j] + lam * rn**2, penalized, float(ARMIJO_LADDER[j]), sq):
                     break
-            if accepted is None:
+            else:
                 break
-            B, value, P, residual = accepted
+            B, value, P, residual = trials[j], values[j], Pn, rn
             G = None
             global_iter += 1
             # give up on this penalty level once accepted steps stop
@@ -317,6 +316,7 @@ def _penalty_search(
         raise ValueError("lambda schedule must be a non-empty sequence of finite levels >= 0")
     if cfg.inner_iterations < 0:
         raise ValueError("inner_iterations must be non-negative")
+    charge(n * n, DEFAULT_GRAPHON_CELLS, f"search graphon of {n} blocks", "cells")
     mu = _uniform_measures(n)
     measures = mu / float(mu.sum())  # as StepGraphon normalizes them
     rng = np.random.default_rng(seed)

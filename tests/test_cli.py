@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from graphonlab import StepGraphon, constant, save_graphon
+from graphonlab import search as search_mod
 from graphonlab import stepgraphon as sg
 from graphonlab.cli import cli, parse_graphon, parse_pattern
 from graphonlab.search import SearchResult
@@ -167,23 +168,36 @@ def test_density_budget_env_exit_3(runner):
 @pytest.mark.parametrize(
     "extra, message",
     [
-        ([], "error: elimination plan needs 84 cells, budget 10"),
-        (["--probe-k", "1"], "error: walk power of length 3 needs 128 cells, budget 10"),
+        ([], "error: elimination plan needs 155 cells, budget 30"),
+        (["--probe-k", "1"], "error: walk power of length 3 needs 250 cells, budget 30"),
     ],
     ids=["minimize", "probe"],
 )
 def test_search_budget_charges_values_before_the_solver(runner, extra, message):
-    # the solver's 2^4 supports would also exceed the budget: the objective's
-    # plan (K3 at n = 4: 64 + 16 + 4 cells) or walk power (2 * 4^3 cells) is
-    # charged first, once per stack of trial points
+    # the 5 * 5 values fit the budget and the solver's 2^5 supports would
+    # exceed it: the objective's plan (K3 at n = 5: 125 + 25 + 5 cells) or
+    # walk power (2 * 5^3 cells) is charged first, once per stack of trial
+    # points
     res = runner.invoke(
         cli,
-        ["search", "--pattern", "clique:3", "--d", "0.5", "--n", "4", "--starts", "2",
+        ["search", "--pattern", "clique:3", "--d", "0.5", "--n", "5", "--starts", "2",
          "--inner-iterations", "2", *extra],
-        env={"GRAPHONLAB_BUDGET": "10"},
+        env={"GRAPHONLAB_BUDGET": "30"},
     )
     assert res.exit_code == 3, res.output
     assert res.stderr.splitlines() == [message]
+    assert res.stdout == ""
+
+
+def test_oversized_search_exit_3_before_allocating(runner, monkeypatch):
+    # the n * n values are charged before the search builds its measures or
+    # draws a start
+    monkeypatch.setattr(search_mod, "_uniform_measures", lambda n: pytest.fail("the search allocated"))
+    res = runner.invoke(cli, ["search", "--pattern", "clique:2", "--d", "0.5", "--n", "100000"])
+    assert res.exit_code == 3, res.output
+    assert res.stderr.splitlines() == [
+        "error: search graphon of 100000 blocks needs 10000000000 cells, budget 1e+07"
+    ]
     assert res.stdout == ""
 
 

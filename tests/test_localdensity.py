@@ -156,16 +156,146 @@ PGD_RECORDED = [
     ),
     ("0x1.7e6def348b749p-2", ["0x1.3f541eea626adp-1", "0x0.0p+0", "0x1.8157c22b3b2a4p-2", "0x0.0p+0"]),
     ("0x1.f130619e5dde0p-6", ["0x0.0p+0"] * 4 + ["0x1.0000000000000p+0", "0x0.0p+0"]),
+    # recorded before the starts ran in lockstep: gen_random(1, 2), the zero
+    # graphon on 3 blocks and 0.5 J + 1e-12 I on 4
+    ("0x1.0be40d2359ad4p-2", ["0x1.fffffffffffffp-1"]),
+    ("0x0.0p+0", ["0x1.5555555555555p-2"] * 3),
+    ("0x1.00000000008ccp-1", ["0x1.0000000000000p-2"] * 4),
 ]
 
 
 def test_estimate_matches_recorded_outputs_bitwise():
     graphons = [StepGraphon(B, np.full(len(B), 1.0 / len(B))) for B in PGD_MATRICES]
-    graphons += [gen_random(4, 1), gen_random(6, 3, dirichlet_measures=True)]
+    graphons += [gen_random(4, 1), gen_random(6, 3, dirichlet_measures=True), gen_random(1, 2)]
+    graphons += [
+        StepGraphon(np.zeros((3, 3)), np.full(3, 1.0 / 3)),
+        StepGraphon(0.5 + 1e-12 * np.eye(4), np.full(4, 0.25)),
+    ]
     for W, (d_star, witness) in zip(graphons, PGD_RECORDED, strict=True):
         cert = local_density_estimate(W, starts=3, seed=5)
         assert cert.d_star == float.fromhex(d_star)
         assert cert.witness.tolist() == [float.fromhex(x) for x in witness]
+
+
+def _one_start_projection(y):
+    # project_to_simplex of one vector, as it was before it took stacks
+    u = np.sort(y)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = np.nonzero(u - css / np.arange(1, len(y) + 1) > 0)[0][-1]
+    return np.maximum(y - css[rho] / (rho + 1.0), 0.0)
+
+
+def _one_start_pgd(B, x):
+    # the descent from one start, one Armijo trial at a time, as the
+    # estimate ran each start before its starts ran in lockstep
+    fx = float(x @ B @ x)
+    for _ in range(localdensity.PGD_MAX_ITERATIONS):
+        g = 2.0 * (B @ x)
+        if float(np.linalg.norm(x - _one_start_projection(x - g))) <= localdensity.PGD_STOP_TOL:
+            break
+        for eta in localdensity.ARMIJO_LADDER.tolist():
+            xn = _one_start_projection(x - eta * g)
+            step = xn - x
+            fn = float(xn @ B @ xn)
+            if fn < fx and fn <= fx - (localdensity.ARMIJO_SIGMA / eta) * float(step @ step):
+                break
+        else:
+            break
+        x, fx = xn, fn
+    return fx, x
+
+
+def _one_start_estimate_starts(n, starts, seed):
+    # the estimate's starts, built one at a time
+    rng = np.random.default_rng(seed)
+    points = [np.full(n, 1.0 / n)]
+    for i in range(n):
+        points.append(np.eye(n)[i])
+    for i, j in itertools.combinations(range(n), 2):
+        x = np.zeros(n)
+        x[i] = x[j] = 0.5
+        points.append(x)
+    for _ in range(starts):
+        points.append(rng.dirichlet(np.ones(n)))
+    return np.array(points)
+
+
+def _adversarial_values(rng, n):
+    """Constant, 0.5 J + 1e-12 I, identity, zero and duplicated-block value
+    matrices on n blocks: ties, flat faces and zero gradients."""
+    uniform = rng.uniform(size=(n, n))
+    uniform = (uniform + uniform.T) / 2.0
+    blocks = np.arange(n) // 2
+    return {
+        "constant": np.full((n, n), 0.3),
+        "barycentric": 0.5 + 1e-12 * np.eye(n),
+        "identity": np.eye(n),
+        "zero": np.zeros((n, n)),
+        "duplicated": uniform[np.ix_(blocks, blocks)],
+    }
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(2026)
+    for n in range(1, 13):
+        yield f"random-{n}", gen_random(n, n), 20, n
+        yield f"dirichlet-{n}", gen_random(n, 100 + n, dirichlet_measures=True), 20 - n, n
+    for n in (1, 3, 6, 9, 12):
+        for name, B in _adversarial_values(rng, n).items():
+            yield f"{name}-{n}", StepGraphon(B, np.full(n, 1.0 / n)), 20, n
+    yield "no-dirichlet", gen_random(5, 7), 0, 3
+
+
+def test_lockstep_descent_matches_each_start_alone_bitwise():
+    """Every start of the lockstep descent ends on the value and point, bit
+    for bit, of its descent alone, and the estimate keeps the first start of
+    least value."""
+    total = 0
+    for case, W, starts, seed in _oracle_cases():
+        X = _one_start_estimate_starts(W.n, starts, seed)
+        values, points = localdensity._pgd(W.values, X)
+        alone = [_one_start_pgd(W.values, x) for x in X]
+        assert values.tolist() == [value for value, _ in alone], case
+        assert all(np.array_equal(p, x) for p, (_, x) in zip(points, alone, strict=True)), case
+        best = min(range(len(alone)), key=lambda i: alone[i][0])
+        cert = local_density_estimate(W, starts=starts, seed=seed)
+        assert cert.d_star == alone[best][0], case
+        assert cert.witness.tolist() == alone[best][1].tolist(), case
+        total += len(X)
+    assert total >= 2000
+
+
+def test_estimate_stacked_calls_match_one_vector_calls_bitwise():
+    """The numpy calls the lockstep descent stacks, each row against the
+    one-vector call of the descent alone: the row projection (ties,
+    all-negative rows and n = 1 included), B x and x^T B x through
+    np.matmul, sqrt of a stacked dot against np.linalg.norm, and one
+    Dirichlet draw of k rows against k draws.  Bit equality is a property of
+    this numpy/BLAS build, not of floating point (X @ B, np.einsum and
+    np.linalg.norm(axis=1) do not have it), so this test pins it."""
+    rng = np.random.default_rng(2027)
+    for n in range(1, 14):
+        for k in (1, 2, 7, 60):
+            B = rng.uniform(size=(n, n))
+            B = (B + B.T) / 2.0
+            X = rng.uniform(-2.0, 2.0, size=(k, n))
+            X[0] = -rng.uniform(size=n)  # an all-negative row
+            if k > 2:
+                X[1] = rng.choice([0.5, 0.25], size=n)  # ties
+                X[2] = -3.0
+            projected = project_to_simplex(X)
+            for x, p in zip(X, projected, strict=True):
+                assert p.tolist() == project_to_simplex(x).tolist(), (n, k)
+                assert p.tolist() == _one_start_projection(x).tolist(), (n, k)
+            Bx = np.matmul(B, X[:, :, None])[:, :, 0]
+            assert all(np.array_equal(row, B @ x) for row, x in zip(Bx, X)), (n, k)
+            xBx = localdensity._dots(np.matmul(X[:, None, :], B)[:, 0], X)
+            assert xBx.tolist() == [float(x @ B @ x) for x in X], (n, k)
+            norms = np.sqrt(localdensity._dots(X, X))
+            assert norms.tolist() == [float(np.linalg.norm(x)) for x in X], (n, k)
+            draws = np.random.default_rng([n, k]).dirichlet(np.ones(n), size=k)
+            one_by_one = np.random.default_rng([n, k])
+            assert all(np.array_equal(row, one_by_one.dirichlet(np.ones(n))) for row in draws), (n, k)
 
 
 def test_grid_oracle_two_block():
