@@ -20,6 +20,9 @@ system of every clique support.  No other support is visited.  On uniform
 random matrices of 14 blocks (gen_random, seeds 0 to 4) 62 to 223 of the
 16 383 supports were cliques of two or more blocks, pairs included (27 to 172
 of three or more); on a constant graphon or a walk kernel W_7 nearly all are.
+The cliques are cached by convexity graph, as density's plans are by
+(pattern, n): a search's graphs barely change from step to step, so most of
+its solver calls skip the growth (_cliques).
 
 An exactly singular stationarity system can be skipped: its face then holds
 either no interior stationary point or a line of them, and in both cases the
@@ -148,12 +151,49 @@ def _convexity_edges(Bs: np.ndarray) -> np.ndarray:
     return (c >= 0.0) & _upper(Bs.shape[1])
 
 
+# Bound of the clique cache: its entries, and the bytes one entry may hold
+# at worst (see _cliques)
+CLIQUE_CACHE_SIZE = 64
+CLIQUE_ENTRY_BYTES = 2**18
+
+
+def _complete_bytes(n: int) -> int:
+    """The bytes of the classes of a complete graph on n vertices: owner
+    and sets of every clique of r >= 2 vertices, 8 (r + 1) bytes each."""
+    return 8 * ((2**n - 1 - n) + n * (2 ** (n - 1) - 1))
+
+
 def _cliques(edges: np.ndarray) -> list:
     """The cliques of two or more vertices of each graph of the stack edges
     (upper triangles, as from _convexity_edges), one non-empty class per
     cardinality r = 2, 3, ...: (owner, sets), each clique's matrix and its
     vertices as a row of sets (shape (m, r)), in (matrix, lexicographic)
     order.  The pairs are the first class, the edges themselves.
+
+    The classes are cached by the stack (_cached_cliques).  A stack of k
+    graphs on n vertices holds k * _complete_bytes(n) bytes at worst, when
+    every graph is complete; one that could hold more than
+    CLIQUE_ENTRY_BYTES is grown afresh each call.  So one graph is kept up
+    to n = 12 (224 KiB) and not from n = 13 (480 KiB), and the cache holds
+    at most CLIQUE_CACHE_SIZE * 256 KiB = 16 MiB."""
+    k, n, _ = edges.shape
+    if k * _complete_bytes(n) > CLIQUE_ENTRY_BYTES:
+        return _grown_cliques(edges)
+    return list(_cached_cliques(edges.shape, edges.tobytes()))
+
+
+@lru_cache(maxsize=CLIQUE_CACHE_SIZE)
+def _cached_cliques(shape: tuple, data: bytes) -> tuple:
+    """_grown_cliques of the boolean stack of the given shape and bytes,
+    its arrays read-only."""
+    classes = tuple(_grown_cliques(np.frombuffer(data, dtype=bool).reshape(shape)))
+    for owner, sets in classes:
+        owner.flags.writeable = sets.flags.writeable = False
+    return classes
+
+
+def _grown_cliques(edges: np.ndarray) -> list:
+    """The classes of _cliques, grown from the stack edges.
 
     Each r-clique is grown from the (r-1)-clique of its first r - 1 vertices
     by a common neighbour above its last vertex, starting from the single

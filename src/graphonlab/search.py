@@ -78,6 +78,9 @@ STATIONARITY_TOL = 1e-10  # projected-step norm that ends a penalty level
 PROGRESS_TOL = 1e-11  # decrease below which an accepted step counts as stalled
 STALL_ITERATIONS = 5  # stalled steps in a row that end a penalty level
 LOG_EVERY = 10  # trajectory sampling interval, in accepted steps
+# the ladder's steps as Python floats: on numpy scalars each _decreases call
+# costs about 8 times as much
+_ETAS = tuple(ARMIJO_LADDER.tolist())
 
 
 @dataclass
@@ -194,9 +197,8 @@ def _screen(B, trials, values, P, d: float, lam: float, penalized: float):
     the search would take a shorter step or end the level; every step it
     takes is still solved and tested exactly."""
     bounds = _witness_bounds(P, trials).tolist()
-    # Python floats: on numpy scalars each _decreases call costs about 8 times as much
-    for j, (eta, Bn, vn, un) in enumerate(zip(ARMIJO_LADDER.tolist(), trials, values, bounds)):
-        sq = float(np.sum(np.square(Bn - B)))
+    for j, (eta, Bn, vn, un) in enumerate(zip(_ETAS, trials, values, bounds)):
+        sq = float(np.square(Bn - B).sum())
         if _decreases(vn + lam * max(0.0, d - un) ** 2, penalized, eta, sq):
             yield j, sq
 
@@ -211,7 +213,7 @@ def _start_path(start: int, B0: np.ndarray, d: float, cfg: SearchConfig, bests):
     ladder's trials one at a time, in order, until one passes the exact
     sufficient-decrease test.  It tracks every point it visits in bests, and
     returns its trajectory."""
-    B = np.clip((B0 + B0.T) / 2.0, 0.0, 1.0)
+    B = ((B0 + B0.T) / 2.0).clip(0.0, 1.0)
     trajectory = []
     global_iter = 0
 
@@ -229,15 +231,16 @@ def _start_path(start: int, B0: np.ndarray, d: float, cfg: SearchConfig, bests):
             if G is None:
                 G = yield "grad", B
             E = G - 2.0 * lam * residual * P if residual > 0.0 else G
-            mapped = np.clip(B - E, 0.0, 1.0)
-            if float(np.linalg.norm(B - mapped)) <= STATIONARITY_TOL:
+            # the norm as np.linalg.norm forms it, without its dispatch
+            g = (B - (B - E).clip(0.0, 1.0)).ravel()
+            if math.sqrt(float(g.dot(g))) <= STATIONARITY_TOL:
                 break
-            trials = np.clip(B - ARMIJO_LADDER[:, None, None] * E, 0.0, 1.0)
+            trials = (B - ARMIJO_LADDER[:, None, None] * E).clip(0.0, 1.0)
             values = yield "value", trials
             for j, sq in _screen(B, trials, values, P, d, lam, penalized):
                 Pn, cert = yield "solve", trials[j]
                 rn = max(0.0, d - cert.d_star)
-                if _decreases(values[j] + lam * rn**2, penalized, float(ARMIJO_LADDER[j]), sq):
+                if _decreases(values[j] + lam * rn**2, penalized, _ETAS[j], sq):
                     break
             else:
                 break

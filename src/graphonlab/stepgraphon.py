@@ -267,11 +267,13 @@ def gen_regular(
     B = _random_symmetric(rng, n)
     mu_sq = float(mu @ mu)
     residual = float("inf")
+    degrees = B @ mu  # each round's residual gives the next round's row defect
     for _ in range(max_iters):
-        row_defect = (d - B @ mu) / mu_sq
-        B = B + np.outer(row_defect, mu)
-        B = np.clip((B + B.T) / 2.0, 0.0, 1.0)
-        residual = float(np.max(np.abs(B @ mu - d)))
+        row_defect = (d - degrees) / mu_sq
+        B = B + row_defect[:, None] * mu
+        B = ((B + B.T) / 2.0).clip(0.0, 1.0)
+        degrees = B @ mu
+        residual = float(np.max(np.abs(degrees - d)))
         if residual <= residual_target:
             return StepGraphon(B, mu)
     raise NonConvergenceError(
@@ -290,10 +292,7 @@ def gen_pointwise_dense(n: int, d: float, seed: int, dirichlet_measures: bool = 
 
 
 def graphon_to_json(W: StepGraphon) -> dict:
-    return {
-        "measures": [float(m) for m in W.measures],
-        "values": [[float(v) for v in row] for row in W.values],
-    }
+    return {"measures": W.measures.tolist(), "values": W.values.tolist()}
 
 
 def graphon_from_json(data: dict) -> StepGraphon:

@@ -85,7 +85,7 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return obj.tolist()  # Python floats, ints and bools, as the branches below give
     if isinstance(obj, (np.bool_, bool)):  # before int: bool subclasses int
         return bool(obj)
     if isinstance(obj, (np.floating, float)):

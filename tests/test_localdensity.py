@@ -764,6 +764,74 @@ def test_parents_are_the_supports_without_their_last_index(n):
         before = (owner, sets)
 
 
+def _assert_same_classes(got, want):
+    assert len(got) == len(want)
+    for (owner, sets), (owner_want, sets_want) in zip(got, want):
+        assert owner.dtype == owner_want.dtype and sets.dtype == sets_want.dtype
+        assert np.array_equal(owner, owner_want) and np.array_equal(sets, sets_want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.lists(st.sampled_from([0.0, 0.3, 0.7, 1.0]), max_size=5), RNG_SEEDS)
+def test_cached_cliques_equal_freshly_grown_classes(n, densities, seed):
+    # empty stacks, n = 1, empty, complete and random graphs: a miss and
+    # then a hit give the classes grown afresh, array by array
+    rng = np.random.default_rng(seed)
+    p = np.array(densities).reshape(-1, 1, 1)
+    edges = np.triu(rng.random((len(densities), n, n)) < p, 1)
+    assert len(edges) * localdensity._complete_bytes(n) <= localdensity.CLIQUE_ENTRY_BYTES
+    want = localdensity._grown_cliques(edges)
+    _assert_same_classes(localdensity._cliques(edges), want)
+    _assert_same_classes(localdensity._cliques(edges), want)
+
+
+def test_cached_cliques_are_read_only_and_hit():
+    localdensity._cached_cliques.cache_clear()
+    edges = _random_graphs(np.random.default_rng(41), 6)
+    first = localdensity._cliques(edges)
+    assert localdensity._cached_cliques.cache_info()[:2] == (0, 1)  # hits, misses
+    again = localdensity._cliques(edges.copy())
+    assert localdensity._cached_cliques.cache_info()[:2] == (1, 1)
+    # each call gets its own list of the one entry's arrays, none writeable
+    assert again is not first and len(again) == len(first) > 2
+    for (owner, sets), (owner_again, sets_again) in zip(first, again):
+        assert owner is owner_again and sets is sets_again
+        assert not owner.flags.writeable and not sets.flags.writeable
+        with pytest.raises(ValueError):
+            sets[0, 0] = 0
+
+
+def _entry_bytes(classes):
+    return sum(owner.nbytes + sets.nbytes for owner, sets in classes)
+
+
+def test_clique_cache_is_bounded_in_entries_and_bytes():
+    # a complete graph's classes take _complete_bytes(n), the worst case of
+    # one graph on n vertices
+    for n in range(1, 15):
+        edges = localdensity._upper(n)[None]
+        assert _entry_bytes(localdensity._grown_cliques(edges)) == localdensity._complete_bytes(n)
+    localdensity._cached_cliques.cache_clear()
+    size = localdensity.CLIQUE_CACHE_SIZE
+    for i in range(size + 10):  # distinct graphs on 8 vertices: i's bits on 28 pairs
+        bits = (i >> np.arange(28)) & 1
+        edges = np.zeros((1, 8, 8), dtype=bool)
+        edges[0][localdensity._upper(8)] = bits.astype(bool)
+        localdensity._cliques(edges)
+        assert localdensity._cached_cliques.cache_info().currsize == min(i + 1, size)
+    # a constant graphon's convexity graph is complete: its classes are kept
+    # at the largest n under the entry cap, and built but not kept above it
+    kept = max(n for n in range(1, 19) if localdensity._complete_bytes(n) <= localdensity.CLIQUE_ENTRY_BYTES)
+    localdensity._cached_cliques.cache_clear()
+    cert = local_density_exact(constant(0.5, blocks=kept))
+    assert localdensity._cached_cliques.cache_info()[2:] == (size, 1)  # maxsize, currsize
+    assert localdensity._cached_cliques.cache_info().misses == 1
+    assert cert.d_star == 0.5
+    cert = local_density_exact(constant(0.5, blocks=kept + 1))
+    assert localdensity._cached_cliques.cache_info()[1:] == (1, size, 1)  # misses, maxsize, currsize
+    assert cert.d_star == 0.5
+
+
 def _constructed_entries():
     """(b_ii, b_jj, b_ij) where fl(fl(b_ii + b_jj) - 2 b_ij) rounds to 0
     while the exact c_ij is 2^-80 or -2^-80, each at two scales of b_ij, and
